@@ -1559,6 +1559,12 @@ let corrupt_state_for_test t =
 (* guards against restoring under a different configuration.          *)
 (* ------------------------------------------------------------------ *)
 
+(* Version of the fingerprint's own encoding, separate from the payload
+   format: bumping it makes older checkpoints fail the fingerprint check
+   ([Fingerprint_mismatch]) instead of restoring under a guard that could
+   not tell two configs apart. *)
+let fingerprint_version = 2
+
 let fingerprint (config : Config.t) =
   let battery_kind = function
     | Etx_battery.Battery.Ideal -> "ideal"
@@ -1568,7 +1574,7 @@ let fingerprint (config : Config.t) =
     match config.Config.fault with
     | None -> "none"
     | Some s ->
-      Printf.sprintf "seed=%d,wear=%g/%g,ber=%g,brown=%g/%d/%s,up=%g,down=%g"
+      Printf.sprintf "seed=%d,wear=%h/%h,ber=%h,brown=%h/%d/%s,up=%h,down=%h"
         s.Fault_spec.seed s.Fault_spec.link_wearout_rate
         s.Fault_spec.link_wearout_shape s.Fault_spec.bit_error_rate
         s.Fault_spec.brownout_rate s.Fault_spec.brownout_duration_cycles
@@ -1577,10 +1583,22 @@ let fingerprint (config : Config.t) =
         | Fault_spec.Drop -> "drop")
         s.Fault_spec.upload_loss_rate s.Fault_spec.download_loss_rate
   in
+  let controllers =
+    match config.Config.controllers with
+    | Config.Infinite_controller -> "inf"
+    | Config.Battery_controllers { count } -> string_of_int count
+  in
+  let schedule =
+    String.concat ","
+      (List.map
+         (fun (cycle, a, b) -> Printf.sprintf "%d:%d-%d" cycle a b)
+         config.Config.link_failure_schedule)
+  in
   Printf.sprintf
-    "etsim-ckpt-v%d;n=%d;m=%d;edges=%d;policy=%s/%d;seed=%d;frame=%d;max=%d;\
-     jobs=%d;batt=%s/%g/%g;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d"
-    Checkpoint.version (Config.node_count config) config.Config.module_count
+    "etsim-ckpt-v%d;fp-v%d;n=%d;m=%d;edges=%d;policy=%s/%d;seed=%d;frame=%d;\
+     max=%d;jobs=%d;batt=%s/%h/%h;wl=%s;fault=%s;retx=%d;ack=%d;ctl=%s;sched=%s"
+    Checkpoint.version fingerprint_version (Config.node_count config)
+    config.Config.module_count
     (Digraph.edge_count config.Config.topology.Etx_graph.Topology.graph)
     config.Config.policy.Etx_routing.Policy.name
     config.Config.policy.Etx_routing.Policy.levels config.Config.seed
@@ -1590,7 +1608,7 @@ let fingerprint (config : Config.t) =
     config.Config.battery_capacity_pj config.Config.battery_capacity_variation
     (String.concat "+" (List.map Workload.name config.Config.workloads))
     fault config.Config.max_retransmissions config.Config.ack_timeout_cycles
-    (List.length config.Config.link_failure_schedule)
+    controllers schedule
 
 let config_fingerprint = fingerprint
 

@@ -96,12 +96,15 @@ val timeline : t -> Timeline.t option
     not checkpointed: a restored engine starts them empty. *)
 
 val config_fingerprint : Config.t -> string
-(** The canonical configuration fingerprint embedded in checkpoint
-    payloads: a short string covering everything that shapes a run
-    (topology census, policy, seed, frame period, battery model,
-    workloads, fault spec, hardening knobs).  Two configs with the same
-    fingerprint produce bit-identical simulations, which is what lets
-    the serving layer content-address its result cache with it. *)
+(** The configuration fingerprint embedded in checkpoint payloads, the
+    guard {!restore} checks: a versioned string covering the knobs that
+    shape a run (topology census, policy, seed, frame period, battery
+    model, workloads, fault spec, hardening knobs, controllers and the
+    whole link-failure schedule), with every float printed exactly
+    ([%h]).  It is a guard, not an exhaustive content address: the
+    topology enters only by its census and the policy by its name and
+    levels.  The serving layer keys its result caches by its own exact
+    request key ([Handlers.key]) instead. *)
 
 val checkpoint : t -> bytes
 (** Serialize the engine's dynamic state as a checkpoint payload (frame

@@ -1,11 +1,14 @@
-(** Bounded content-addressed result cache with LRU eviction.
+(** Bounded content-addressed cache with LRU eviction.
 
-    Keys are canonical scenario fingerprints ({!Handlers.fingerprint}),
-    so two requests that mean the same computation — regardless of JSON
-    field order or which defaults were spelled out — share one entry,
-    and a hit replays bit-identical bytes.  The store is bounded: beyond
-    [capacity] entries the least-recently-used one is evicted, so a
-    long-lived server's memory never grows with request history.
+    Keys are exact scenario keys ({!Handlers.key}), so two requests that
+    mean the same computation — regardless of JSON field order, which
+    defaults were spelled out or which name alias was used — share one
+    entry.  The server stores each result's serialized bytes, so a hit
+    replays them bit-identically with no re-serialisation; the router
+    stores [unit] to remember which keys it has already validated.  The
+    cache is bounded: beyond [capacity] entries the least-recently-used
+    one is evicted, so a long-lived daemon's memory never grows with
+    request history.
 
     Not thread-safe; the server touches it from its single batch loop. *)
 

@@ -544,4 +544,10 @@ let run_supervised (cfg : config) =
         violations = List.rev !violations;
       })
 
-let run (cfg : config) = if cfg.supervise then run_supervised cfg else run_manual cfg
+let run (cfg : config) =
+  (* the in-process router writes to backends this harness kills: a
+     write racing a kill must fail over (EPIPE), not end the harness
+     silently with SIGPIPE and orphan the surviving backends *)
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+   with Invalid_argument _ -> ());
+  if cfg.supervise then run_supervised cfg else run_manual cfg

@@ -109,6 +109,7 @@ type t = {
   sleep : float -> unit;
   rpc : rpc;
   backoff : Backoff.t;
+  validated : unit Cache.t;  (* keys whose parameters already validated *)
   mutable routed_total : int;
   mutable failover_total : int;
   mutable shed_total : int;
@@ -152,6 +153,11 @@ let socket_rpc ~connect_timeout_s ~now : rpc =
       Error (Printf.sprintf "%s: %s" path (Unix.error_message err)))
 
 (* - construction - *)
+
+(* Bounded set of keys the router has validated: a repeated key skips
+   building its configuration.  Small on purpose — a miss only costs one
+   validation, while every entry is resident for the router's life. *)
+let validated_capacity = 256
 
 let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
   if cfg.backends = [] then invalid_arg "Cluster.create: need at least one backend";
@@ -205,6 +211,7 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
     backoff =
       Backoff.create ~base_ms:cfg.backoff_base_ms ~cap_ms:cfg.backoff_cap_ms
         ~seed:cfg.seed ();
+    validated = Cache.create ~capacity:validated_capacity;
     routed_total = 0;
     failover_total = 0;
     shed_total = 0;
@@ -254,14 +261,15 @@ let probe t =
 (* - responses - *)
 
 let error_response ?(extra = []) id code message =
-  Json.Obj
-    ([
-       ("id", id);
-       ("status", Json.String "error");
-       ("error", Json.String code);
-       ("message", Json.String message);
-     ]
-    @ extra)
+  Json.to_string
+    (Json.Obj
+       ([
+          ("id", id);
+          ("status", Json.String "error");
+          ("error", Json.String code);
+          ("message", Json.String message);
+        ]
+       @ extra))
 
 let degraded_response t id message =
   t.degraded_total <- t.degraded_total + 1;
@@ -273,14 +281,15 @@ let degraded_response t id message =
     id "degraded" message
 
 let ok_response ~scenario ~elapsed_ms id result =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "ok");
-      ("scenario", Json.String scenario);
-      ("elapsed_ms", Json.float_lenient elapsed_ms);
-      ("result", result);
-    ]
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", id);
+         ("status", Json.String "ok");
+         ("scenario", Json.String scenario);
+         ("elapsed_ms", Json.float_lenient elapsed_ms);
+         ("result", result);
+       ])
 
 let backend_stats t =
   Json.Obj
@@ -338,9 +347,9 @@ type dispatch_outcome =
   | Unavailable of string
   | Expired
 
-let dispatch t ~fp ~deadline_abs line =
+let dispatch t ~key ~deadline_abs line =
   let candidates =
-    Array.of_list (List.map (backend t) (Ring.ordered t.ring fp))
+    Array.of_list (List.map (backend t) (Ring.ordered t.ring key))
   in
   Backoff.reset t.backoff;
   let rec attempt i last_error =
@@ -410,10 +419,6 @@ let inject_trace_id line trace_id =
       (Json.to_string (Json.String trace_id))
       sep rest
 
-(* a response is either JSON we built locally or a backend's line
-   forwarded byte-for-byte (never re-parsed, never re-printed) *)
-type reply = Tree of Json.t | Raw of string
-
 (* per-client round-robin admission: iterate arrival order repeatedly,
    admitting at most one request per client per round, until the depth
    is reached — so one chatty client cannot starve the rest *)
@@ -452,7 +457,9 @@ let handle_batch t lines =
         | Error err -> Malformed err)
       raw_lines
   in
-  let responses = Array.make (Array.length items) (Tree Json.Null) in
+  (* a response is either JSON built locally or a backend's line
+     forwarded byte-for-byte (never re-parsed, never re-printed) *)
+  let responses = Array.make (Array.length items) "" in
   Obs.add obs_requests (Array.length items);
   let runnable = ref [] in
   let scenarios = ref [] in
@@ -462,7 +469,7 @@ let handle_batch t lines =
       | Malformed err ->
         t.errors_total <- t.errors_total + 1;
         Obs.inc obs_errors;
-        responses.(idx) <- Tree (error_response err.error_id err.error_code err.reason)
+        responses.(idx) <- error_response err.error_id err.error_code err.reason
       | Parsed (req : Request.t) -> (
         runnable := (idx, req) :: !runnable;
         match req.body with
@@ -477,11 +484,10 @@ let handle_batch t lines =
         t.shed_total <- t.shed_total + 1;
         Obs.inc obs_shed;
         responses.(idx) <-
-          Tree
-            (degraded_response t req.id
-               (Printf.sprintf
-                  "cluster saturated: %d scenario request(s) admitted this batch"
-                  t.cfg.queue_depth))
+          degraded_response t req.id
+            (Printf.sprintf
+               "cluster saturated: %d scenario request(s) admitted this batch"
+               t.cfg.queue_depth)
       end)
     (List.rev !scenarios);
   let order =
@@ -515,7 +521,7 @@ let handle_batch t lines =
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
-        responses.(idx) <- Tree (ok_response ~scenario:name ~elapsed_ms req.id result)
+        responses.(idx) <- ok_response ~scenario:name ~elapsed_ms req.id result
       | Request.Scenario scenario ->
         if Hashtbl.mem admitted idx then begin
           let deadline_abs =
@@ -523,14 +529,20 @@ let handle_batch t lines =
               (fun d -> batch_start +. (float_of_int d /. 1000.))
               req.deadline_ms
           in
+          (* invalid requests are answered here and never dispatched;
+             a key validated before skips building its configuration *)
+          let key = Handlers.key scenario in
           match
-            try Handlers.fingerprint scenario
-            with exn -> Error (Printexc.to_string exn)
+            if Option.is_some (Cache.find t.validated key) then Ok key
+            else
+              try Handlers.fingerprint scenario
+              with exn -> Error (Printexc.to_string exn)
           with
           | Error message ->
             t.errors_total <- t.errors_total + 1;
-            responses.(idx) <- Tree (error_response req.id "invalid_request" message)
-          | Ok fp -> (
+            responses.(idx) <- error_response req.id "invalid_request" message
+          | Ok _ -> (
+            Cache.add t.validated key ();
             t.routed_total <- t.routed_total + 1;
             Obs.inc obs_routed;
             (* the front door mints the trace id: a request arriving
@@ -549,29 +561,27 @@ let handle_batch t lines =
             match
               Span.with_trace trace (fun () ->
                 Span.span "cluster.route" (fun () ->
-                  dispatch t ~fp ~deadline_abs line))
+                  dispatch t ~key ~deadline_abs line))
             with
             | Response response_line ->
               (* forwarded verbatim: the cluster adds no bytes, so a
                  response is bit-identical to the backend's own *)
-              responses.(idx) <- Raw response_line
+              responses.(idx) <- response_line
             | Unavailable message ->
-              responses.(idx) <- Tree (degraded_response t req.id message)
+              responses.(idx) <- degraded_response t req.id message
             | Expired ->
               t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
               t.errors_total <- t.errors_total + 1;
               Obs.inc obs_deadline;
               Obs.inc obs_errors;
               responses.(idx) <-
-                Tree
-                  (error_response req.id "deadline_exceeded"
-                     (Printf.sprintf "deadline of %d ms expired while routing"
-                        (Option.value req.deadline_ms ~default:0))))
+                error_response req.id "deadline_exceeded"
+                  (Printf.sprintf "deadline of %d ms expired while routing"
+                     (Option.value req.deadline_ms ~default:0)))
         end)
     order;
   Obs.add obs_responses (Array.length responses);
-  Array.to_list
-    (Array.map (function Raw line -> line | Tree j -> Json.to_string j) responses)
+  Array.to_list responses
 
 let stopped t = t.stopping
 let request_stop t = t.stopping <- true

@@ -2,7 +2,7 @@
 
     The router speaks the same newline-delimited JSON protocol as a
     single {!Server} — clients cannot tell the difference — and shards
-    scenario requests across backend daemons by scenario fingerprint on
+    scenario requests across backend daemons by {!Handlers.key} on
     a consistent-hash {!Ring}, so a given computation always lands on
     the same backend (whose LRU stays warm) and membership changes only
     remap the failed backend's arc.
@@ -88,7 +88,10 @@ val handle_batch : t -> string list -> string list
 (** Route one batch (same protocol as {!Server.handle_batch}): control
     requests are answered locally, scenario requests are forwarded to
     their ring backend with the failure handling above.  Forwarded
-    responses pass through byte-for-byte. *)
+    responses pass through byte-for-byte.  A scenario request whose
+    parameters fail validation is answered [invalid_request] locally and
+    never dispatched; the router remembers a bounded set of keys it has
+    validated, so a repeated key is not validated again. *)
 
 val probe : t -> unit
 (** Health-check every backend whose [health_period_s] has elapsed.

@@ -12,9 +12,15 @@ let policy_of_string s =
   | "maximin" -> Ok (Etx_routing.Policy.maximin ())
   | other -> Error (Printf.sprintf "unknown policy %S" other)
 
-let battery_of_string s =
+(* every spelling [battery_of_string] accepts, mapped to one name *)
+let battery_name s =
   match String.lowercase_ascii s with
-  | "thin-film" | "thin_film" | "thinfilm" ->
+  | "thin-film" | "thin_film" | "thinfilm" -> "thin-film"
+  | other -> other
+
+let battery_of_string s =
+  match battery_name s with
+  | "thin-film" ->
     Ok (Etx_battery.Battery.Thin_film Etx_battery.Battery.default_thin_film)
   | "ideal" -> Ok Etx_battery.Battery.Ideal
   | other -> Error (Printf.sprintf "unknown battery model %S" other)
@@ -45,25 +51,44 @@ let simulate_config (p : Request.simulate_params) =
   | config -> Ok config
   | exception Invalid_argument message -> Error message
 
+(* The simulate key is the request's parameters themselves, which
+   [simulate_config] maps to a config deterministically: names are
+   normalised exactly as the parsers above normalise them (and quoted,
+   so no string can forge another field), floats print exactly with
+   %h, and the fault seed appears only when a rate makes the config
+   carry a fault spec.  Bump the tag whenever that mapping changes. *)
+let simulate_key (p : Request.simulate_params) =
+  let fault =
+    if p.ber = 0. && p.wearout = 0. then "fault=none"
+    else Printf.sprintf "ber=%h;wearout=%h;fault_seed=%d" p.ber p.wearout p.fault_seed
+  in
+  Printf.sprintf
+    "simulate-v2;mesh=%d;seed=%d;policy=%S;battery=%S;controllers=%d;jobs=%d;%s;\
+     retries=%d"
+    p.mesh_size p.seed (String.lowercase_ascii p.policy) (battery_name p.battery)
+    p.controllers p.concurrent_jobs fault p.retries
+
+let key (scenario : Request.scenario) =
+  match scenario with
+  | Request.Simulate p -> simulate_key p
+  | Request.Fig7 { sizes; seeds } -> Experiments.fig7_fingerprint ~sizes ~seeds
+  | Request.Resilience { mesh_size; bit_error_rates; wearout_rates; fault_seed; seeds }
+    ->
+    Experiments.resilience_fingerprint ~mesh_size ~bit_error_rates ~wearout_rates
+      ~fault_seed ~seeds
+  | Request.Audit { sizes; seeds; every } ->
+    Experiments.audit_fingerprint ~sizes ~seeds ~every
+  | Request.Upper_bound { sizes } ->
+    Printf.sprintf "upper-bound;sizes=%s"
+      (String.concat "," (List.map string_of_int sizes))
+
 let fingerprint (scenario : Request.scenario) =
   match scenario with
   | Request.Simulate p ->
-    (* the checkpoint layer's fingerprint covers everything that shapes
-       the run, so it is exactly the result's content address *)
-    let* config = simulate_config p in
-    Ok ("simulate;" ^ Etx_etsim.Engine.config_fingerprint config)
-  | Request.Fig7 { sizes; seeds } -> Ok (Experiments.fig7_fingerprint ~sizes ~seeds)
-  | Request.Resilience { mesh_size; bit_error_rates; wearout_rates; fault_seed; seeds }
-    ->
-    Ok
-      (Experiments.resilience_fingerprint ~mesh_size ~bit_error_rates ~wearout_rates
-         ~fault_seed ~seeds)
-  | Request.Audit { sizes; seeds; every } ->
-    Ok (Experiments.audit_fingerprint ~sizes ~seeds ~every)
-  | Request.Upper_bound { sizes } ->
-    Ok
-      (Printf.sprintf "upper-bound;sizes=%s"
-         (String.concat "," (List.map string_of_int sizes)))
+    let* _config = simulate_config p in
+    Ok (key scenario)
+  | Request.Fig7 _ | Request.Resilience _ | Request.Audit _ | Request.Upper_bound _ ->
+    Ok (key scenario)
 
 (* - result encoders - *)
 

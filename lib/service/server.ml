@@ -83,7 +83,7 @@ type latency = {
 type t = {
   cfg : config;
   pool : Pool.t;
-  cache : Json.t Cache.t;
+  cache : string Cache.t;  (* key -> serialized result bytes *)
   store : Store.t option;
   latencies : (string, latency) Hashtbl.t;
   now : unit -> float;
@@ -237,22 +237,36 @@ let stats_json t =
       | Some store -> [ ("store", store_stats store) ])
     @ [ ("scenarios", scenario_stats t) ])
 
+(* Splice already-serialized result bytes into the response envelope:
+   the same bytes [Json.to_string] prints for the equivalent tree, without
+   walking the result again. *)
 let ok_response ?cache ~scenario ~elapsed_ms id result =
-  Json.Obj
-    ([ ("id", id); ("status", Json.String "ok"); ("scenario", Json.String scenario) ]
-    @ (match cache with
-      | None -> []
-      | Some how -> [ ("cache", Json.String how) ])
-    @ [ ("elapsed_ms", Json.float_lenient elapsed_ms); ("result", result) ])
+  let buf = Buffer.create (String.length result + 128) in
+  Buffer.add_string buf {|{"id":|};
+  Buffer.add_string buf (Json.to_string id);
+  Buffer.add_string buf {|,"status":"ok","scenario":|};
+  Buffer.add_string buf (Json.to_string (Json.String scenario));
+  Option.iter
+    (fun how ->
+      Buffer.add_string buf {|,"cache":|};
+      Buffer.add_string buf (Json.to_string (Json.String how)))
+    cache;
+  Buffer.add_string buf {|,"elapsed_ms":|};
+  Buffer.add_string buf (Json.to_string (Json.float_lenient elapsed_ms));
+  Buffer.add_string buf {|,"result":|};
+  Buffer.add_string buf result;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let error_response id code message =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "error");
-      ("error", Json.String code);
-      ("message", Json.String message);
-    ]
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", id);
+         ("status", Json.String "error");
+         ("error", Json.String code);
+         ("message", Json.String message);
+       ])
 
 type item = Parsed of Request.t | Malformed of Request.error
 
@@ -269,7 +283,7 @@ let handle_batch t lines =
            | Error err -> Malformed err)
          lines)
   in
-  let responses = Array.make (Array.length items) Json.Null in
+  let responses = Array.make (Array.length items) "" in
   Obs.add obs_requests (Array.length items);
   Obs.observe obs_batch_size (float_of_int (Array.length items));
   (* Admission: parse errors and over-depth scenario requests are
@@ -313,9 +327,9 @@ let handle_batch t lines =
         compare b.priority a.priority)
       (List.rev !runnable)
   in
-  (* Results computed in this batch, keyed by fingerprint: duplicates are
-     coalesced onto one execution even when the cache is disabled. *)
-  let batch_results : (string, Json.t) Hashtbl.t = Hashtbl.create 8 in
+  (* Results served in this batch, keyed by {!Handlers.key}: duplicates
+     are coalesced onto one execution even when the cache is disabled. *)
+  let batch_results : (string, string) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (idx, (req : Request.t)) ->
       let name = Request.scenario_name req.body in
@@ -334,7 +348,8 @@ let handle_batch t lines =
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
-        responses.(idx) <- ok_response ~scenario:name ~elapsed_ms req.id result
+        responses.(idx) <-
+          ok_response ~scenario:name ~elapsed_ms req.id (Json.to_string result)
       | Request.Scenario scenario ->
         Span.with_trace req.trace_id (fun () ->
         Span.span "server.handle" (fun () ->
@@ -355,81 +370,71 @@ let handle_batch t lines =
                  (Option.value req.deadline_ms ~default:0))
         end
         else
-        match
-          try Handlers.fingerprint scenario
-          with exn -> Error (Printexc.to_string exn)
-        with
-        | Error message ->
-          t.errors_total <- t.errors_total + 1;
-          Obs.inc obs_errors;
-          responses.(idx) <- error_response req.id "invalid_request" message
-        | Ok fp -> (
-          (* result tiers: this batch, the in-memory LRU, the durable
-             store, then compute (which backfills both caches) *)
-          let from_store () =
-            match t.store with
-            | None -> None
-            | Some store -> (
-              match Span.span "server.store" (fun () -> Store.find store fp) with
-              | None -> None
-              | Some bytes -> (
-                (* a store entry is our own serialized result; if it
-                   does not parse, treat it like any other corruption:
-                   a miss, recompute *)
-                match Json.parse_result bytes with
-                | Ok result -> Some result
-                | Error _ -> None))
-          in
-          let outcome =
-            match Hashtbl.find_opt batch_results fp with
+        (* result tiers: this batch, the in-memory LRU, the durable
+           store, then validate and compute (which backfills all three).
+           Every tier holds the result's serialized bytes. *)
+        let key = Handlers.key scenario in
+        let remember how result =
+          Hashtbl.replace batch_results key result;
+          Ok (how, result)
+        in
+        let outcome =
+          match Hashtbl.find_opt batch_results key with
+          | Some result ->
+            Obs.inc obs_result_coalesced;
+            Ok ("coalesced", result)
+          | None -> (
+            match Span.span "server.cache" (fun () -> Cache.find t.cache key) with
             | Some result ->
-              Obs.inc obs_result_coalesced;
-              Ok ("coalesced", result)
+              Obs.inc obs_result_cache;
+              remember "hit" result
             | None -> (
-              match Span.span "server.cache" (fun () -> Cache.find t.cache fp) with
+              match
+                Option.bind t.store (fun store ->
+                  Span.span "server.store" (fun () -> Store.find store key))
+              with
               | Some result ->
-                Obs.inc obs_result_cache;
-                Hashtbl.replace batch_results fp result;
-                Ok ("hit", result)
+                (* the store's CRC and stored key vouch for these bytes:
+                   they are exactly what a miss serialized *)
+                Obs.inc obs_result_store;
+                Cache.add t.cache key result;
+                remember "store" result
               | None -> (
-                match from_store () with
-                | Some result ->
-                  Obs.inc obs_result_store;
-                  Cache.add t.cache fp result;
-                  Hashtbl.replace batch_results fp result;
-                  Ok ("store", result)
-                | None -> (
+                match
+                  try Handlers.fingerprint scenario
+                  with exn -> Error (Printexc.to_string exn)
+                with
+                | Error message -> Error ("invalid_request", message)
+                | Ok _ -> (
                   match
                     Span.span "server.compute" (fun () ->
                       Handlers.execute ~pool:t.pool scenario)
                   with
                   | Ok result ->
                     Obs.inc obs_result_compute;
-                    Cache.add t.cache fp result;
-                    Option.iter
-                      (fun store -> Store.add store fp (Json.to_string result))
-                      t.store;
-                    Hashtbl.replace batch_results fp result;
-                    Ok ("miss", result)
-                  | Error message -> Error message
-                  | exception exn -> Error (Printexc.to_string exn))))
-          in
-          match outcome with
-          | Ok (how, result) ->
-            let elapsed_ms = (t.now () -. t0) *. 1000. in
-            record_latency t name elapsed_ms;
-            Obs.observe obs_request_ms elapsed_ms;
-            t.served_total <- t.served_total + 1;
-            responses.(idx) <-
-              ok_response ~cache:how ~scenario:name ~elapsed_ms req.id result
-          | Error message ->
-            t.errors_total <- t.errors_total + 1;
-            Obs.inc obs_errors;
-            responses.(idx) <- error_response req.id "failed" message))))
+                    let result = Json.to_string result in
+                    Cache.add t.cache key result;
+                    Option.iter (fun store -> Store.add store key result) t.store;
+                    remember "miss" result
+                  | Error message -> Error ("failed", message)
+                  | exception exn -> Error ("failed", Printexc.to_string exn)))))
+        in
+        match outcome with
+        | Ok (how, result) ->
+          let elapsed_ms = (t.now () -. t0) *. 1000. in
+          record_latency t name elapsed_ms;
+          Obs.observe obs_request_ms elapsed_ms;
+          t.served_total <- t.served_total + 1;
+          responses.(idx) <-
+            ok_response ~cache:how ~scenario:name ~elapsed_ms req.id result
+        | Error (code, message) ->
+          t.errors_total <- t.errors_total + 1;
+          Obs.inc obs_errors;
+          responses.(idx) <- error_response req.id code message)))
     order;
   Obs.set obs_queue_depth (float_of_int !admitted);
   Obs.add obs_responses (Array.length responses);
-  Array.to_list (Array.map Json.to_string responses)
+  Array.to_list responses
 
 let flush_batch t batch oc =
   match List.rev batch with

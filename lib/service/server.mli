@@ -16,11 +16,15 @@
       saturated server.
     - {b priority ordering}: admitted requests execute by descending
       [priority], ties in arrival order.
-    - {b deduplication and caching}: each scenario's canonical
-      fingerprint is looked up in the LRU result cache (a {e hit}
-      replays bit-identical bytes) and, failing that, against results
-      computed earlier in the same batch (a {e coalesced} duplicate is
-      computed once even with caching disabled).
+    - {b deduplication and caching}: each scenario's exact key
+      ({!Handlers.key}, computed from the parsed parameters) is looked
+      up among results served earlier in the same batch (a
+      {e coalesced} duplicate is computed once even with caching
+      disabled), then in the LRU result cache (a {e hit}), then in the
+      durable store.  Every tier holds the result's serialized bytes,
+      which a hit splices into its response unchanged.  Only a request
+      that misses every tier is validated and computed; an invalid one
+      is answered [invalid_request].
 
     All simulation work fans out over one shared persistent
     {!Etx_util.Pool} owned by the server for its whole life. *)

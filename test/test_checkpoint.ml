@@ -228,6 +228,37 @@ let test_fingerprint_mismatch () =
   | _ -> Alcotest.fail "truncated payload accepted"
   | exception Checkpoint.Error _ -> ()
 
+(* The guard must tell apart configs the old encoding merged: one ulp of
+   a fault rate (%g), one more or a moved schedule entry (length only),
+   another controller bank (absent). *)
+let test_fingerprint_exact () =
+  let config ?(ber = 1e-4) ?(controllers = Config.Infinite_controller) schedule =
+    Calibration.config ~mesh_size:4 ~seed:1 ~link_failure_schedule:schedule
+      ~fault:(Spec.make ~seed:3 ~bit_error_rate:ber ())
+      ~controllers ()
+  in
+  let base = config [ (40_000, 0, 1) ] in
+  let engine = Engine.create base in
+  (match Engine.run_until engine ~cycle:10_000 with
+  | Engine.Finished _ -> Alcotest.fail "died before pause"
+  | Engine.Paused -> ());
+  let payload = Engine.checkpoint engine in
+  ignore (Engine.restore base payload);
+  List.iter
+    (fun (name, other) ->
+      match Engine.restore other payload with
+      | _ -> Alcotest.failf "restore under %s accepted" name
+      | exception Checkpoint.Error (Checkpoint.Fingerprint_mismatch _) -> ())
+    [
+      ("a ber one ulp up", config ~ber:(Float.succ 1e-4) [ (40_000, 0, 1) ]);
+      ("one more schedule entry", config [ (40_000, 0, 1); (50_000, 4, 5) ]);
+      ("a schedule entry one cycle later", config [ (40_001, 0, 1) ]);
+      ("a schedule entry on another link", config [ (40_000, 1, 2) ]);
+      ( "a bank of battery controllers",
+        config ~controllers:(Config.Battery_controllers { count = 2 })
+          [ (40_000, 0, 1) ] );
+    ]
+
 (* - QCheck: restore-then-run is bit-identical across random configs and
    fault plans - *)
 
@@ -311,6 +342,7 @@ let suite =
         ("sdr + finite controllers", `Slow, test_bit_identity_sdr_and_controllers);
         ("checkpoint guards", `Quick, test_checkpoint_guards);
         ("fingerprint mismatch", `Quick, test_fingerprint_mismatch);
+        ("fingerprint is exact", `Quick, test_fingerprint_exact);
         QCheck_alcotest.to_alcotest invariant_restore_bit_identical;
       ] );
   ]

@@ -332,21 +332,23 @@ let test_server_store_tier () =
       ~finally:(fun () -> Server.shutdown server)
       (fun () ->
         match Server.handle_batch server [ line ] with
-        | [ response ] -> parse response
+        | [ response ] -> response
         | _ -> Alcotest.fail "one response expected")
   in
   let first = serve (cfg (Some dir)) in
-  Alcotest.(check string) "first sight computes" "miss" (str_member "cache" first);
+  Alcotest.(check string) "first sight computes" "miss"
+    (str_member "cache" (parse first));
   (* a brand-new server process (cold LRU) sharing the directory *)
   let second = serve (cfg (Some dir)) in
   Alcotest.(check string) "restart serves from the durable store" "store"
-    (str_member "cache" second);
+    (str_member "cache" (parse second));
+  (* the miss's own result bytes, not a parse-and-print of them *)
   Alcotest.(check string) "store replay is bit-identical"
-    (Json.to_string (Option.get (Json.member "result" first)))
-    (Json.to_string (Option.get (Json.member "result" second)));
+    (Test_service.raw_result first) (Test_service.raw_result second);
   (* without the store, a cold server recomputes *)
   let fresh = serve (cfg None) in
-  Alcotest.(check string) "no store, cold miss" "miss" (str_member "cache" fresh)
+  Alcotest.(check string) "no store, cold miss" "miss"
+    (str_member "cache" (parse fresh))
 
 (* - the router, driven through a fake transport - *)
 
@@ -397,6 +399,41 @@ let test_cluster_affinity_and_verbatim_forwarding () =
     "same fingerprints route to the same backends every time" first again;
   Alcotest.(check bool) "sharding uses more than one backend" true
     (List.length (List.sort_uniq compare first) > 1)
+
+let test_cluster_answers_invalid_locally () =
+  let calls = ref [] in
+  let cluster =
+    Cluster.create
+      ~now:(fun () -> 0.)
+      ~sleep:(fun _ -> ())
+      ~rpc:(fake_rpc calls (fun ~path:_ ~line:_ -> Ok "forwarded"))
+      (cluster_cfg [ "a.sock"; "b.sock" ])
+  in
+  let server = Server.create Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.shutdown server) @@ fun () ->
+  let dispatched () =
+    List.length
+      (List.filter (fun (_, line) -> line <> {|{"scenario":"ping"}|}) !calls)
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check (list string))
+        "the router answers with the server's bytes"
+        (Server.handle_batch server [ line ])
+        (Cluster.handle_batch cluster [ line ]))
+    [
+      {|{"id":1,"scenario":"simulate","params":{"policy":"quantum"}}|};
+      {|{"id":2,"scenario":"simulate","params":{"mesh_size":-4}}|};
+    ];
+  Alcotest.(check int) "never dispatched" 0 (dispatched ());
+  (* a valid key is dispatched every time, validated or not *)
+  let valid = scenario_line 1 in
+  List.iter
+    (fun _ ->
+      Alcotest.(check (list string)) "forwarded" [ "forwarded" ]
+        (Cluster.handle_batch cluster [ valid ]))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "dispatched each time" 3 (dispatched ())
 
 let test_cluster_failover () =
   let calls = ref [] in
@@ -668,6 +705,8 @@ let suite =
         Alcotest.test_case "server durable store tier" `Quick test_server_store_tier;
         Alcotest.test_case "affinity and verbatim forwarding" `Quick
           test_cluster_affinity_and_verbatim_forwarding;
+        Alcotest.test_case "invalid requests answered locally" `Quick
+          test_cluster_answers_invalid_locally;
         Alcotest.test_case "failover" `Quick test_cluster_failover;
         Alcotest.test_case "breaker trip and recovery" `Quick
           test_cluster_breaker_and_recovery;

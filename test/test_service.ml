@@ -104,6 +104,133 @@ let test_fingerprint_canonicalization () =
   let d = fp {|{"scenario":"simulate","params":{"seed":2}}|} in
   Alcotest.(check bool) "different seed, different address" true (a <> d)
 
+(* - exact keys - *)
+
+let simulate_gen =
+  QCheck.Gen.(
+    map
+      (fun ((mesh_size, seed, policy, battery, controllers),
+            (concurrent_jobs, ber, wearout, fault_seed, retries)) ->
+        {
+          Request.mesh_size;
+          seed;
+          policy;
+          battery;
+          controllers;
+          concurrent_jobs;
+          ber;
+          wearout;
+          fault_seed;
+          retries;
+        })
+      (pair
+         (tup5 (int_range 3 5) (int_range 1 1000)
+            (oneofl [ "ear"; "sdr"; "EAR"; "Sdr"; "maximin" ])
+            (oneofl [ "thin-film"; "thin_film"; "ThinFilm"; "ideal" ])
+            (int_range 0 2))
+         (tup5 (int_range 1 2)
+            (oneof [ return 0.; float_bound_inclusive 1e-3 ])
+            (oneof [ return 0.; float_bound_inclusive 1e-5 ])
+            (int_range 0 1000) (int_range 0 3))))
+
+let simulate_print (p : Request.simulate_params) =
+  Printf.sprintf
+    "{mesh=%d seed=%d policy=%S battery=%S controllers=%d jobs=%d ber=%h \
+     wearout=%h fault_seed=%d retries=%d}"
+    p.mesh_size p.seed p.policy p.battery p.controllers p.concurrent_jobs p.ber
+    p.wearout p.fault_seed p.retries
+
+let simulate_arbitrary = QCheck.make ~print:simulate_print simulate_gen
+let key p = Handlers.key (Request.Simulate p)
+
+(* One-field changes, each to a value that means a different run.  The
+   fault seed only shapes a run whose rates enable faults. *)
+let single_field_changes (p : Request.simulate_params) =
+  let other_policy = if String.lowercase_ascii p.policy = "sdr" then "ear" else "sdr" in
+  let other_battery =
+    if String.lowercase_ascii p.battery = "ideal" then "thin-film" else "ideal"
+  in
+  [
+    ("mesh_size", { p with mesh_size = p.mesh_size + 1 });
+    ("seed", { p with seed = p.seed + 1 });
+    ("policy", { p with policy = other_policy });
+    ("battery", { p with battery = other_battery });
+    ("controllers", { p with controllers = p.controllers + 1 });
+    ("concurrent_jobs", { p with concurrent_jobs = p.concurrent_jobs + 1 });
+    ("ber", { p with ber = Float.succ p.ber });
+    ("wearout", { p with wearout = Float.succ p.wearout });
+    ("retries", { p with retries = p.retries + 1 });
+  ]
+  @
+  if p.ber = 0. && p.wearout = 0. then []
+  else [ ("fault_seed", { p with fault_seed = p.fault_seed + 1 }) ]
+
+let key_separates_single_field_changes =
+  QCheck.Test.make ~name:"key: any one-field change changes the key" ~count:300
+    simulate_arbitrary (fun p ->
+      List.for_all
+        (fun (field, q) ->
+          key p <> key q || QCheck.Test.fail_reportf "%s change kept the key" field)
+        (single_field_changes p))
+
+(* The same run spelled differently: name aliases in any case, and a
+   fault seed that no rate uses. *)
+let respell (p : Request.simulate_params) =
+  let flip_case s =
+    String.mapi
+      (fun i c -> if i mod 2 = 0 then Char.uppercase_ascii c else Char.lowercase_ascii c)
+      s
+  in
+  let battery =
+    match String.lowercase_ascii p.battery with
+    | "thin-film" -> "thin_film"
+    | "thin_film" | "thinfilm" -> "THIN-film"
+    | other -> flip_case other
+  in
+  let fault_seed =
+    if p.ber = 0. && p.wearout = 0. then p.fault_seed + 17 else p.fault_seed
+  in
+  { p with policy = flip_case p.policy; battery; fault_seed }
+
+let result_bytes_of p =
+  Etx_util.Pool.with_pool ~domains:1 (fun pool ->
+      match Handlers.execute ~pool (Request.Simulate p) with
+      | Ok r -> Json.to_string r
+      | Error m -> QCheck.Test.fail_reportf "valid params rejected: %s" m)
+
+let equal_keys_equal_results =
+  QCheck.Test.make ~name:"key: equal keys give byte-identical results" ~count:12
+    (QCheck.make ~print:simulate_print
+       (QCheck.Gen.map
+          (fun p -> { p with Request.mesh_size = 4; concurrent_jobs = 1 })
+          simulate_gen))
+    (fun p ->
+      let q = respell p in
+      key p = key q && result_bytes_of p = result_bytes_of q)
+
+let test_key_matches_fingerprint () =
+  let p =
+    {
+      Request.mesh_size = 4;
+      seed = 1;
+      policy = "ear";
+      battery = "thin-film";
+      controllers = 0;
+      concurrent_jobs = 1;
+      ber = 1e-4;
+      wearout = 0.;
+      fault_seed = 0;
+      retries = 3;
+    }
+  in
+  (* fingerprint validates, then answers the key itself *)
+  (match Handlers.fingerprint (Request.Simulate p) with
+  | Ok fp -> Alcotest.(check string) "fingerprint = key" (key p) fp
+  | Error m -> Alcotest.failf "valid params rejected: %s" m);
+  Alcotest.(check bool) "invalid params rejected" true
+    (Result.is_error
+       (Handlers.fingerprint (Request.Simulate { p with policy = "quantum" })))
+
 (* - server batches - *)
 
 let config ?(queue_depth = 8) ?(cache_capacity = 16) ?store_dir () =
@@ -139,24 +266,37 @@ let elapsed_ms j =
   | Some f -> f
   | None -> Alcotest.failf "missing elapsed_ms in %s" (Json.to_string j)
 
+(* the raw bytes of a response line's [result], the envelope's last field *)
+let raw_result line =
+  let marker = {|,"result":|} in
+  let rec find i =
+    if i + String.length marker > String.length line then
+      Alcotest.failf "no result in %s" line
+    else if String.sub line i (String.length marker) = marker then
+      i + String.length marker
+    else find (i + 1)
+  in
+  let start = find 0 in
+  String.sub line start (String.length line - start - 1)
+
 let simulate_line = {|{"scenario":"simulate","params":{"mesh_size":4},"id":1}|}
 
 let test_miss_then_hit_bit_identical () =
   with_server (fun server ->
-      let miss =
+      let respond () =
         match Server.handle_batch server [ simulate_line ] with
-        | [ r ] -> parse_response r
+        | [ r ] -> r
         | _ -> Alcotest.fail "one response expected"
       in
-      let hit =
-        match Server.handle_batch server [ simulate_line ] with
-        | [ r ] -> parse_response r
-        | _ -> Alcotest.fail "one response expected"
-      in
+      let miss_line = respond () in
+      let hit_line = respond () in
+      let miss = parse_response miss_line and hit = parse_response hit_line in
       Alcotest.(check string) "first computes" "miss" (str_member "cache" miss);
       Alcotest.(check string) "second replays" "hit" (str_member "cache" hit);
-      Alcotest.(check string) "bit-identical result" (result_bytes miss)
-        (result_bytes hit);
+      Alcotest.(check string) "bit-identical result" (raw_result miss_line)
+        (raw_result hit_line);
+      (* the spliced envelope is exactly what the JSON printer writes *)
+      Alcotest.(check string) "canonical hit bytes" hit_line (Json.to_string hit);
       Alcotest.(check bool) "hit is faster" true (elapsed_ms hit <= elapsed_ms miss);
       (* the stats request confirms the counter moved *)
       match Server.handle_batch server [ {|{"scenario":"stats"}|} ] with
@@ -169,6 +309,41 @@ let test_miss_then_hit_bit_identical () =
         in
         Alcotest.(check (option int)) "hit counted" (Some 1) cache_hits
       | _ -> Alcotest.fail "stats response expected")
+
+let cache_of server line =
+  match Server.handle_batch server [ line ] with
+  | [ r ] -> str_member "cache" (parse_response r)
+  | _ -> Alcotest.fail "one response expected"
+
+let test_near_ber_is_a_miss () =
+  (* %g printed both rates as 0.0001: the second request used to replay
+     the first one's result *)
+  with_server (fun server ->
+      let line ber =
+        Printf.sprintf
+          {|{"scenario":"simulate","params":{"mesh_size":4,"ber":%s,"fault_seed":7}}|}
+          ber
+      in
+      Alcotest.(check string) "first computes" "miss" (cache_of server (line "1e-4"));
+      Alcotest.(check string) "same rate hits" "hit" (cache_of server (line "0.0001"));
+      Alcotest.(check string) "a near rate is another computation" "miss"
+        (cache_of server (line "1.0000001e-4")))
+
+let test_aliases_share_an_entry () =
+  with_server (fun server ->
+      let line policy battery =
+        Printf.sprintf
+          {|{"scenario":"simulate","params":{"mesh_size":4,"policy":"%s","battery":"%s"}}|}
+          policy battery
+      in
+      Alcotest.(check string) "first computes" "miss"
+        (cache_of server (line "EAR" "thin_film"));
+      Alcotest.(check string) "policy case alias" "hit"
+        (cache_of server (line "ear" "thin_film"));
+      Alcotest.(check string) "battery spelling alias" "hit"
+        (cache_of server (line "ear" "thin-film"));
+      Alcotest.(check string) "both aliases" "hit"
+        (cache_of server (line "Ear" "ThinFilm")))
 
 let test_queue_full_burst () =
   with_server ~queue_depth:2 (fun server ->
@@ -361,11 +536,17 @@ let suite =
         Alcotest.test_case "errors" `Quick test_request_errors;
         Alcotest.test_case "fingerprint canonicalization" `Quick
           test_fingerprint_canonicalization;
+        Alcotest.test_case "key matches fingerprint" `Quick
+          test_key_matches_fingerprint;
+        QCheck_alcotest.to_alcotest key_separates_single_field_changes;
+        QCheck_alcotest.to_alcotest equal_keys_equal_results;
       ] );
     ( "service/server",
       [
         Alcotest.test_case "miss then hit, bit-identical" `Quick
           test_miss_then_hit_bit_identical;
+        Alcotest.test_case "near ber is a miss" `Quick test_near_ber_is_a_miss;
+        Alcotest.test_case "aliases share an entry" `Quick test_aliases_share_an_entry;
         Alcotest.test_case "queue_full burst" `Quick test_queue_full_burst;
         Alcotest.test_case "in-batch coalescing" `Quick test_in_batch_coalescing;
         Alcotest.test_case "priority ordering" `Quick test_priority_ordering;
