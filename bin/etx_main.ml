@@ -871,8 +871,9 @@ let serve_cmd =
         Fun.protect
           ~finally:(fun () -> Etx_service.Server.shutdown server)
           (fun () ->
-            if stdio then Etx_service.Server.run_stdio server stdin stdout
-            else Etx_service.Server.run_unix server ~socket_path:socket);
+            Etx_service.Serve_loop.run
+              ?socket_path:(if stdio then None else Some socket)
+              (Etx_service.Server.handler server));
         `Ok ())
   in
   let term =
@@ -1103,7 +1104,10 @@ let attempts_arg =
   Arg.(value & opt int 4 & info [ "attempts" ] ~docv:"N" ~doc)
 
 let request_timeout_arg =
-  let doc = "Per-response read deadline against a backend, in seconds." in
+  let doc =
+    "Longest a request may wait for its backend's reply, in seconds, before \
+     that backend connection is closed and its requests fail over."
+  in
   Arg.(value & opt float 30. & info [ "request-timeout" ] ~docv:"SECONDS" ~doc)
 
 let health_period_arg =
@@ -1124,8 +1128,9 @@ let run_router cfg stdio socket =
        Sys.set_signal Sys.sigterm
          (Sys.Signal_handle (fun _ -> Etx_service.Cluster.request_stop cluster))
      with Invalid_argument _ -> ());
-    if stdio then Etx_service.Cluster.run_stdio cluster stdin stdout
-    else Etx_service.Cluster.run_unix cluster ~socket_path:socket;
+    Etx_service.Serve_loop.run
+      ?socket_path:(if stdio then None else Some socket)
+      (Etx_service.Cluster.handler cluster);
     `Ok ()
 
 let route_cmd =
@@ -1439,11 +1444,11 @@ let crashtest_cmd =
   let parts_arg =
     let doc =
       "Artifacts to enumerate kill points over: any of store, checkpoint, \
-       manifest (default: all three)."
+       manifest, net (default: all four)."
     in
     Arg.(
       value
-      & opt (list string) [ "store"; "checkpoint"; "manifest" ]
+      & opt (list string) [ "store"; "checkpoint"; "manifest"; "net" ]
       & info [ "parts" ] ~docv:"PARTS" ~doc)
   in
   let quiet_arg =
@@ -1463,10 +1468,12 @@ let crashtest_cmd =
       | "store" -> Ok `Store
       | "checkpoint" -> Ok `Checkpoint
       | "manifest" -> Ok `Manifest
+      | "net" -> Ok `Net
       | other ->
         Error
           (Printf.sprintf
-             "unknown part %S (expected store, checkpoint or manifest)" other)
+             "unknown part %S (expected store, checkpoint, manifest or net)"
+             other)
     in
     match
       List.fold_left
@@ -1512,7 +1519,9 @@ let crashtest_cmd =
           sequences, simulate a crash at each (fork + _exit, torn writes \
           included), and assert recovery loses no committed entry, serves \
           nothing partial, sweeps temp files and stays bit-identical.  Also \
-          injects ENOSPC/EIO/EINTR/short/rename failures at every site.  \
+          injects ENOSPC/EIO/EINTR/short/rename failures at every site, and \
+          replays every socket read, write and accept of a serving daemon \
+          as a crash, a hard error, a short and an interrupted transfer.  \
           Exits non-zero on any violation.")
     term
 

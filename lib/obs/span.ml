@@ -114,5 +114,63 @@ let span name f =
       in
       Fun.protect ~finally:finish f
 
+(* A span opened in one call and finished in another: the router starts
+   [cluster.route] when a request arrives and finishes it when the reply
+   does, turns of the serving loop later. *)
+type opened = {
+  o_trace : string;
+  o_id : int;
+  o_parent : int;
+  o_name : string;
+  o_start : float;
+}
+
+let opened ~trace ~parent name =
+  Some
+    {
+      o_trace = trace;
+      o_id = Atomic.fetch_and_add next_span_id 1;
+      o_parent = parent;
+      o_name = name;
+      o_start = now_s ();
+    }
+
+let start name =
+  if not (Obs.enabled ()) then None
+  else
+    match !(Domain.DLS.get ctx_key) with
+    | None -> None
+    | Some c ->
+      opened ~trace:c.c_trace
+        ~parent:(match c.c_stack with [] -> 0 | p :: _ -> p)
+        name
+
+let child parent name =
+  match parent with
+  | None -> None
+  | Some p -> opened ~trace:p.o_trace ~parent:p.o_id name
+
+let finish = function
+  | None -> ()
+  | Some o ->
+    record
+      {
+        trace_id = o.o_trace;
+        span_id = o.o_id;
+        parent_id = o.o_parent;
+        name = o.o_name;
+        start_s = o.o_start;
+        end_s = now_s ();
+      }
+
+let enter o f =
+  match o with
+  | None -> f ()
+  | Some o ->
+    with_trace (Some o.o_trace) (fun () ->
+      let c = Option.get !(Domain.DLS.get ctx_key) in
+      c.c_stack <- [ o.o_id ];
+      f ())
+
 let recent () = with_lock (fun () -> List.of_seq (Queue.to_seq spans))
 let reset () = with_lock (fun () -> Queue.clear spans)

@@ -36,6 +36,27 @@ val span : string -> (unit -> 'a) -> 'a
     or no trace is installed.  Exceptions propagate; the span is still
     recorded. *)
 
+type opened
+(** A span started in one call and finished in another, for work that
+    outlives the call that begins it (a request in flight on a pipelined
+    connection). *)
+
+val start : string -> opened option
+(** Open a span under the current trace, parented like {!span}.  [None]
+    — one atomic load — when the registry is disarmed or no trace is
+    installed. *)
+
+val child : opened option -> string -> opened option
+(** Open a span under an opened parent, in its trace; [None] when the
+    parent is [None]. *)
+
+val finish : opened option -> unit
+(** Record the span as ending now; no-op on [None]. *)
+
+val enter : opened option -> (unit -> 'a) -> 'a
+(** Run [f] in the opened span's trace with the span as the parent of
+    every {!span} inside; just [f ()] on [None]. *)
+
 val now_s : unit -> float
 (** Wall-clock seconds, monotone-clamped through a global atomic so
     consecutive reads are strictly increasing even across domains. *)

@@ -83,33 +83,76 @@ let obs_probe result =
 let obs_probe_ok = obs_probe "ok"
 let obs_probe_fail = obs_probe "fail"
 
-let obs_snapshots =
-  Obs.counter ~help:"Metrics snapshot files committed"
-    "etx_obs_snapshots_written_total"
-
 type rpc = path:string -> timeout_s:float -> string -> (string, string) result
 
-type backend = {
+(* One client batch awaiting its forwarded responses: answered when the
+   last slot fills. *)
+type block = {
+  responses : string array;
+  mutable missing : int;
+  answer : string list -> unit;
+}
+
+(* One routed scenario request: which candidate, which attempt, until
+   when, and the client slot it answers. *)
+type dispatch = {
+  block : block;
+  slot : int;
+  id : Json.t;
+  deadline_ms : int option;
+  deadline_abs : float option;
+  line : string;  (* the bytes forwarded *)
+  candidates : backend array;  (* ring preference order *)
+  serial : int;  (* seeds this request's backoff *)
+  mutable attempt : int;
+  mutable last_error : string option;
+  mutable backoff : Backoff.t option;  (* drawn on the first failure *)
+  mutable answered : bool;
+  route_span : Span.opened option;  (* cluster.route: arrival to answer *)
+  mutable dispatch_span : Span.opened option;  (* cluster.dispatch: send to reply *)
+}
+
+and backend = {
   name : string;
   health : Health.t;
   breaker : Breaker.t;
   obs_dispatched : Obs.counter;
   obs_failures : Obs.counter;
+  obs_inflight : Obs.gauge;
   mutable last_heard : float;  (* last success or probe attempt *)
   mutable dispatched : int;
   mutable transport_failures : int;
+  mutable link : link option;
 }
+
+(* The persistent, pipelined connection to one backend.  A backend
+   answers each connection in order, so replies match [inflight] FIFO. *)
+and link = {
+  fd : Unix.file_descr;
+  rd : Netio.reader;
+  wr : Netio.writer;
+  inflight : entry Queue.t;
+}
+
+and entry = { waiting : waiting; expires : float }
+
+and waiting =
+  | Reply of dispatch  (* answered early (deadline): the reply is dropped *)
+  | Probe
+  | Ignore  (* a forwarded shutdown *)
+
+type transport = Rpc of rpc | Links
 
 type t = {
   cfg : config;
   ring : Ring.t;
   table : (string, backend) Hashtbl.t;
-  order : string list;  (* config order, for stats *)
+  order : backend list;  (* config order, for stats and probes *)
   now : unit -> float;
   sleep : float -> unit;
-  rpc : rpc;
-  backoff : Backoff.t;
+  transport : transport;
   validated : unit Cache.t;  (* keys whose parameters already validated *)
+  mutable timers : (float * dispatch) list;  (* backoff waits, by due time *)
   mutable routed_total : int;
   mutable failover_total : int;
   mutable shed_total : int;
@@ -118,39 +161,8 @@ type t = {
   mutable errors_total : int;
   mutable probe_total : int;
   mutable probe_failures : int;
-  mutable last_metrics_write : float;
   mutable stopping : bool;
 }
-
-(* - the real transport: dial, one line out, one line back, bounded -
-
-   All blocking steps go through Netio, so EINTR (signals from
-   supervised children) retries with the remaining deadline instead of
-   failing the dispatch. *)
-
-let socket_rpc ~connect_timeout_s ~now : rpc =
- fun ~path ~timeout_s line ->
-  let connect_deadline = now () +. connect_timeout_s in
-  match Netio.connect ~deadline:connect_deadline ~now path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Ok fd ->
-    let finish () = try Unix.close fd with Unix.Unix_error _ -> () in
-    (match
-       let deadline = now () +. timeout_s in
-       Netio.write_all fd ~deadline ~now (Bytes.of_string (line ^ "\n\n"));
-       match Netio.read_line ~deadline ~now (Netio.reader fd) with
-       | Some response -> response
-       | None -> failwith "connection closed"
-     with
-    | response ->
-      finish ();
-      Ok response
-    | exception Failure msg ->
-      finish ();
-      Error (Printf.sprintf "%s: %s" path msg)
-    | exception Unix.Unix_error (err, _, _) ->
-      finish ();
-      Error (Printf.sprintf "%s: %s" path (Unix.error_message err)))
 
 (* - construction - *)
 
@@ -169,49 +181,52 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
     cfg.connect_timeout_s <= 0. || cfg.request_timeout_s <= 0.
     || cfg.probe_timeout_s <= 0. || cfg.health_period_s <= 0.
   then invalid_arg "Cluster.create: timeouts must be positive";
-  let rpc =
-    match rpc with
-    | Some rpc -> rpc
-    | None -> socket_rpc ~connect_timeout_s:cfg.connect_timeout_s ~now
-  in
+  if not (cfg.backoff_base_ms > 0. && cfg.backoff_base_ms <= cfg.backoff_cap_ms)
+  then invalid_arg "Cluster.create: need 0 < backoff_base_ms <= backoff_cap_ms";
   let table = Hashtbl.create 8 in
-  List.iter
-    (fun name ->
-      Hashtbl.replace table name
-        {
-          name;
-          health =
-            Health.create ~failure_threshold:cfg.failure_threshold
-              ~obs_label:name ();
-          breaker =
-            Breaker.create ~failure_threshold:cfg.failure_threshold
-              ~cooldown_s:cfg.breaker_cooldown_s ~obs_label:name ~now ();
-          obs_dispatched =
-            Obs.counter ~help:"Requests dispatched per backend"
-              ~labels:[ ("backend", name) ]
-              "etx_cluster_backend_dispatched_total";
-          obs_failures =
-            Obs.counter ~help:"Transport failures per backend"
-              ~labels:[ ("backend", name) ]
-              "etx_cluster_backend_failures_total";
-          (* never heard from: due for a probe immediately *)
-          last_heard = neg_infinity;
-          dispatched = 0;
-          transport_failures = 0;
-        })
-    cfg.backends;
+  let order =
+    List.map
+      (fun name ->
+        let labels = [ ("backend", name) ] in
+        let b =
+          {
+            name;
+            health =
+              Health.create ~failure_threshold:cfg.failure_threshold
+                ~obs_label:name ();
+            breaker =
+              Breaker.create ~failure_threshold:cfg.failure_threshold
+                ~cooldown_s:cfg.breaker_cooldown_s ~obs_label:name ~now ();
+            obs_dispatched =
+              Obs.counter ~help:"Requests dispatched per backend" ~labels
+                "etx_cluster_backend_dispatched_total";
+            obs_failures =
+              Obs.counter ~help:"Transport failures per backend" ~labels
+                "etx_cluster_backend_failures_total";
+            obs_inflight =
+              Obs.gauge ~help:"Requests awaiting a reply per backend" ~labels
+                "etx_cluster_backend_inflight";
+            (* never heard from: due for a probe immediately *)
+            last_heard = neg_infinity;
+            dispatched = 0;
+            transport_failures = 0;
+            link = None;
+          }
+        in
+        Hashtbl.replace table name b;
+        b)
+      cfg.backends
+  in
   {
     cfg;
     ring = Ring.create ~replicas:cfg.replicas cfg.backends;
     table;
-    order = cfg.backends;
+    order;
     now;
     sleep;
-    rpc;
-    backoff =
-      Backoff.create ~base_ms:cfg.backoff_base_ms ~cap_ms:cfg.backoff_cap_ms
-        ~seed:cfg.seed ();
+    transport = (match rpc with Some rpc -> Rpc rpc | None -> Links);
     validated = Cache.create ~capacity:validated_capacity;
+    timers = [];
     routed_total = 0;
     failover_total = 0;
     shed_total = 0;
@@ -220,11 +235,8 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
     errors_total = 0;
     probe_total = 0;
     probe_failures = 0;
-    last_metrics_write = 0.;
     stopping = false;
   }
-
-let backend t name = Hashtbl.find t.table name
 
 let record_success t b =
   Health.record_success b.health;
@@ -238,25 +250,10 @@ let record_failure t b =
   Obs.inc b.obs_failures;
   b.last_heard <- t.now ()
 
-let ping_line = {|{"scenario":"ping"}|}
+let inflight b =
+  match b.link with None -> 0 | Some l -> Queue.length l.inflight
 
-let probe_backend t b =
-  t.probe_total <- t.probe_total + 1;
-  match t.rpc ~path:b.name ~timeout_s:t.cfg.probe_timeout_s ping_line with
-  | Ok _ ->
-    Obs.inc obs_probe_ok;
-    record_success t b
-  | Error _ ->
-    t.probe_failures <- t.probe_failures + 1;
-    Obs.inc obs_probe_fail;
-    record_failure t b
-
-let probe t =
-  List.iter
-    (fun name ->
-      let b = backend t name in
-      if t.now () -. b.last_heard >= t.cfg.health_period_s then probe_backend t b)
-    t.order
+let idle b = inflight b = 0
 
 (* - responses - *)
 
@@ -271,11 +268,14 @@ let error_response ?(extra = []) id code message =
         ]
        @ extra))
 
+let count_error t =
+  t.errors_total <- t.errors_total + 1;
+  Obs.inc obs_errors
+
 let degraded_response t id message =
   t.degraded_total <- t.degraded_total + 1;
-  t.errors_total <- t.errors_total + 1;
+  count_error t;
   Obs.inc obs_degraded;
-  Obs.inc obs_errors;
   error_response
     ~extra:[ ("retry_after_ms", Json.Int t.cfg.retry_after_ms) ]
     id "degraded" message
@@ -294,9 +294,8 @@ let ok_response ~scenario ~elapsed_ms id result =
 let backend_stats t =
   Json.Obj
     (List.map
-       (fun name ->
-         let b = backend t name in
-         ( name,
+       (fun b ->
+         ( b.name,
            Json.Obj
              [
                ("health", Json.String (Health.state_name (Health.state b.health)));
@@ -304,6 +303,7 @@ let backend_stats t =
                ( "consecutive_failures",
                  Json.Int (Health.consecutive_failures b.health) );
                ("dispatched", Json.Int b.dispatched);
+               ("inflight", Json.Int (inflight b));
                ("transport_failures", Json.Int b.transport_failures);
                ("breaker_opened_total", Json.Int (Breaker.opened_total b.breaker));
                ("health_transitions", Json.Int (Health.transitions b.health));
@@ -327,6 +327,42 @@ let stats_json t =
       ("attempts", Json.Int t.cfg.attempts);
     ]
 
+(* - backend connections - *)
+
+let ping_line = {|{"scenario":"ping"}|}
+let shutdown_line = {|{"scenario":"shutdown"}|}
+
+let connect t b =
+  match b.link with
+  | Some l -> Ok l
+  | None -> (
+    match
+      Netio.connect ~deadline:(t.now () +. t.cfg.connect_timeout_s) ~now:t.now
+        b.name
+    with
+    | Error msg -> Error (Printf.sprintf "%s: %s" b.name msg)
+    | Ok fd ->
+      let l =
+        { fd; rd = Netio.reader fd; wr = Netio.writer fd; inflight = Queue.create () }
+      in
+      b.link <- Some l;
+      Ok l)
+
+(* queue one request as its own batch; written by [flush_links] *)
+let send_on t b l waiting line ~timeout_s =
+  Netio.queue l.wr line;
+  Netio.queue l.wr "\n\n";
+  Queue.push { waiting; expires = t.now () +. timeout_s } l.inflight;
+  Obs.set b.obs_inflight (float_of_int (Queue.length l.inflight))
+
+let probe_ok t b =
+  Obs.inc obs_probe_ok;
+  record_success t b
+
+let probe_failed t =
+  t.probe_failures <- t.probe_failures + 1;
+  Obs.inc obs_probe_fail
+
 (* - dispatch with failover - *)
 
 (* first candidate from [attempt] onwards (cycling) whose breaker admits
@@ -342,61 +378,278 @@ let pick_candidate candidates attempt =
   in
   go 0
 
-type dispatch_outcome =
-  | Response of string
-  | Unavailable of string
-  | Expired
+let remaining t d =
+  match d.deadline_abs with None -> infinity | Some dl -> dl -. t.now ()
 
-let dispatch t ~key ~deadline_abs line =
-  let candidates =
-    Array.of_list (List.map (backend t) (Ring.ordered t.ring key))
+let complete block =
+  Obs.add obs_responses (Array.length block.responses);
+  block.answer (Array.to_list block.responses)
+
+let fill d line =
+  d.answered <- true;
+  Span.finish d.route_span;
+  d.block.responses.(d.slot) <- line;
+  d.block.missing <- d.block.missing - 1;
+  if d.block.missing = 0 then complete d.block
+
+let expire t d =
+  t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
+  count_error t;
+  Obs.inc obs_deadline;
+  fill d
+    (error_response d.id "deadline_exceeded"
+       (Printf.sprintf "deadline of %d ms expired while routing"
+          (Option.value d.deadline_ms ~default:0)))
+
+let schedule t due d =
+  let rec insert = function
+    | ((due', _) as x) :: rest when due' <= due -> x :: insert rest
+    | rest -> (due, d) :: rest
   in
-  Backoff.reset t.backoff;
-  let rec attempt i last_error =
-    if i >= t.cfg.attempts then
-      Unavailable
-        (Printf.sprintf "no backend answered after %d attempt(s)%s" t.cfg.attempts
-           (match last_error with None -> "" | Some e -> ": last error: " ^ e))
-    else
-      let remaining =
-        match deadline_abs with
-        | None -> infinity
-        | Some d -> d -. t.now ()
+  t.timers <- insert t.timers
+
+let rec attempt t d =
+  if d.attempt >= t.cfg.attempts then
+    fill d
+      (degraded_response t d.id
+         (Printf.sprintf "no backend answered after %d attempt(s)%s"
+            t.cfg.attempts
+            (match d.last_error with None -> "" | Some e -> ": last error: " ^ e)))
+  else if remaining t d <= 0. then expire t d
+  else
+    match pick_candidate d.candidates d.attempt with
+    | None ->
+      fill d
+        (degraded_response t d.id
+           (Printf.sprintf "all %d backend breaker(s) open"
+              (Array.length d.candidates)))
+    | Some b -> (
+      if d.attempt > 0 then begin
+        t.failover_total <- t.failover_total + 1;
+        Obs.inc obs_failover
+      end;
+      b.dispatched <- b.dispatched + 1;
+      Obs.inc b.obs_dispatched;
+      let span = Span.child d.route_span "cluster.dispatch" in
+      match t.transport with
+      | Rpc rpc -> (
+        let timeout_s = Float.min t.cfg.request_timeout_s (remaining t d) in
+        let result = Span.enter span (fun () -> rpc ~path:b.name ~timeout_s d.line) in
+        Span.finish span;
+        match result with
+        | Ok response ->
+          record_success t b;
+          fill d response
+        | Error message ->
+          record_failure t b;
+          retry t d message)
+      | Links -> (
+        match connect t b with
+        | Ok l ->
+          d.dispatch_span <- span;
+          send_on t b l (Reply d) d.line ~timeout_s:t.cfg.request_timeout_s
+        | Error message ->
+          Span.finish span;
+          record_failure t b;
+          retry t d message))
+
+(* pace the next attempt with this request's own backoff, but never
+   past its deadline *)
+and retry t d message =
+  d.last_error <- Some message;
+  d.attempt <- d.attempt + 1;
+  let backoff =
+    match d.backoff with
+    | Some b -> b
+    | None ->
+      let b =
+        Backoff.create ~base_ms:t.cfg.backoff_base_ms ~cap_ms:t.cfg.backoff_cap_ms
+          ~seed:(t.cfg.seed + d.serial) ()
       in
-      if remaining <= 0. then Expired
-      else
-        match pick_candidate candidates i with
-        | None ->
-          Unavailable
-            (Printf.sprintf "all %d backend breaker(s) open"
-               (Array.length candidates))
-        | Some b -> (
-          if i > 0 then begin
-            t.failover_total <- t.failover_total + 1;
-            Obs.inc obs_failover
-          end;
-          b.dispatched <- b.dispatched + 1;
-          Obs.inc b.obs_dispatched;
-          let timeout_s = Float.min t.cfg.request_timeout_s remaining in
-          match
-            Span.span "cluster.dispatch" (fun () ->
-              t.rpc ~path:b.name ~timeout_s line)
-          with
-          | Ok response ->
-            record_success t b;
-            Response response
-          | Error message ->
-            record_failure t b;
-            (* pace the retry, but never sleep past the deadline *)
-            let delay_s = Backoff.next t.backoff /. 1000. in
-            let remaining = match deadline_abs with
-              | None -> infinity
-              | Some d -> d -. t.now ()
-            in
-            if remaining > 0. then t.sleep (Float.min delay_s remaining);
-            attempt (i + 1) (Some message))
+      d.backoff <- Some b;
+      b
   in
-  attempt 0 None
+  let delay_s = Backoff.next backoff /. 1000. in
+  let remaining = remaining t d in
+  if remaining > 0. then schedule t (t.now () +. Float.min delay_s remaining) d
+  else attempt t d
+
+(* Close a backend connection and move everything in flight on it to its
+   next candidate.  Closing an idle connection (a backend that restarted
+   or drained) is not a failure. *)
+let drop_link t b l reason =
+  (try Unix.close l.fd with Unix.Unix_error _ -> ());
+  b.link <- None;
+  Obs.set b.obs_inflight 0.;
+  if not (Queue.is_empty l.inflight) then record_failure t b;
+  let message = Printf.sprintf "%s: %s" b.name reason in
+  Queue.iter
+    (fun e ->
+      match e.waiting with
+      | Reply d ->
+        Span.finish d.dispatch_span;
+        d.dispatch_span <- None;
+        if not d.answered then retry t d message
+      | Probe -> probe_failed t
+      | Ignore -> ())
+    l.inflight
+
+let flush_link t b l =
+  match Netio.flush_some l.wr with
+  | () -> ()
+  | exception Unix.Unix_error (err, _, _) -> drop_link t b l (Unix.error_message err)
+  | exception Sys_error message -> drop_link t b l message
+
+let flush_links t =
+  List.iter
+    (fun b ->
+      match b.link with
+      | Some l when Netio.queued l.wr > 0 -> flush_link t b l
+      | _ -> ())
+    t.order
+
+(* one read, then every complete reply, matched FIFO *)
+let read_link t b l =
+  match Netio.fill l.rd with
+  | exception Unix.Unix_error (err, _, _) -> drop_link t b l (Unix.error_message err)
+  | exception Sys_error message -> drop_link t b l message
+  | `Again -> ()
+  | (`Data | `Eof) as got ->
+    let rec replies () =
+      match Netio.take_line l.rd with
+      | None -> ()
+      | Some line ->
+        (match Queue.take_opt l.inflight with
+        | None -> ()
+        | Some e -> (
+          record_success t b;
+          match e.waiting with
+          | Reply d ->
+            Span.finish d.dispatch_span;
+            d.dispatch_span <- None;
+            if not d.answered then fill d line
+          | Probe -> probe_ok t b
+          | Ignore -> ()));
+        replies ()
+    in
+    replies ();
+    Obs.set b.obs_inflight (float_of_int (Queue.length l.inflight));
+    if got = `Eof then drop_link t b l "connection closed"
+
+(* - health probes - *)
+
+let probe_backend t b =
+  t.probe_total <- t.probe_total + 1;
+  b.last_heard <- t.now ();
+  match
+    match t.transport with
+    | Rpc rpc ->
+      Result.map (fun _ -> probe_ok t b)
+        (rpc ~path:b.name ~timeout_s:t.cfg.probe_timeout_s ping_line)
+    | Links ->
+      Result.map
+        (fun l -> send_on t b l Probe ping_line ~timeout_s:t.cfg.probe_timeout_s)
+        (connect t b)
+  with
+  | Ok () -> ()
+  | Error _ ->
+    probe_failed t;
+    record_failure t b
+
+(* a backend with requests in flight is heard from by their replies (or
+   their timeout), so only a quiet one is pinged *)
+let probe t =
+  List.iter
+    (fun b ->
+      if idle b && t.now () -. b.last_heard >= t.cfg.health_period_s then
+        probe_backend t b)
+    t.order
+
+(* - timed work - *)
+
+let past_expiry l now = Queue.fold (fun acc e -> acc || e.expires <= now) false l.inflight
+
+let tick t =
+  let now = t.now () in
+  List.iter
+    (fun b ->
+      match b.link with
+      | Some l when past_expiry l now -> (
+        (* a reply may be waiting unread: take it before giving up *)
+        read_link t b l;
+        match b.link with
+        | Some l' when l' == l && past_expiry l now ->
+          drop_link t b l "response timed out"
+        | _ -> ())
+      | _ -> ())
+    t.order;
+  (* a request past its deadline is answered now; its late reply is
+     still read and dropped, keeping the connection's FIFO aligned *)
+  List.iter
+    (fun b ->
+      Option.iter
+        (fun l ->
+          Queue.iter
+            (fun e ->
+              match e.waiting with
+              | Reply ({ answered = false; deadline_abs = Some dl; _ } as d)
+                when dl <= now ->
+                expire t d
+              | _ -> ())
+            l.inflight)
+        b.link)
+    t.order;
+  let rec run_due () =
+    match t.timers with
+    | (due, d) :: rest when due <= now ->
+      t.timers <- rest;
+      attempt t d;
+      run_due ()
+    | _ -> ()
+  in
+  run_due ();
+  probe t;
+  flush_links t;
+  let next = ref (match t.timers with (due, _) :: _ -> due | [] -> infinity) in
+  let soon x = if x < !next then next := x in
+  List.iter
+    (fun b ->
+      (match b.link with
+      | None -> ()
+      | Some l ->
+        Queue.iter
+          (fun e ->
+            soon e.expires;
+            match e.waiting with
+            | Reply { answered = false; deadline_abs = Some dl; _ } -> soon dl
+            | _ -> ())
+          l.inflight);
+      if idle b then soon (b.last_heard +. t.cfg.health_period_s))
+    t.order;
+  Float.max 0. (!next -. t.now ())
+
+let watch t =
+  List.fold_left
+    (fun (reads, writes) b ->
+      match b.link with
+      | None -> (reads, writes)
+      | Some l ->
+        (l.fd :: reads, if Netio.queued l.wr > 0 then l.fd :: writes else writes))
+    ([], []) t.order
+
+let ready t reads writes =
+  List.iter
+    (fun b ->
+      match b.link with
+      | Some l when List.mem l.fd reads -> read_link t b l
+      | _ -> ())
+    t.order;
+  List.iter
+    (fun b ->
+      match b.link with
+      | Some l when List.mem l.fd writes -> flush_link t b l
+      | _ -> ())
+    t.order
 
 (* - batches - *)
 
@@ -445,7 +698,8 @@ let fair_admit ~depth scenarios =
   done;
   admitted
 
-let handle_batch t lines =
+
+let submit t lines answer =
   probe t;
   let batch_start = t.now () in
   let raw_lines = Array.of_list lines in
@@ -458,8 +712,13 @@ let handle_batch t lines =
       raw_lines
   in
   (* a response is either JSON built locally or a backend's line
-     forwarded byte-for-byte (never re-parsed, never re-printed) *)
-  let responses = Array.make (Array.length items) "" in
+     forwarded byte-for-byte (never re-parsed, never re-printed); the
+     extra count held in [missing] keeps the block open until every
+     request has been handed out *)
+  let block =
+    { responses = Array.make (Array.length items) ""; missing = 1; answer }
+  in
+  let responses = block.responses in
   Obs.add obs_requests (Array.length items);
   let runnable = ref [] in
   let scenarios = ref [] in
@@ -467,8 +726,7 @@ let handle_batch t lines =
     (fun idx item ->
       match item with
       | Malformed err ->
-        t.errors_total <- t.errors_total + 1;
-        Obs.inc obs_errors;
+        count_error t;
         responses.(idx) <- error_response err.error_id err.error_code err.reason
       | Parsed (req : Request.t) -> (
         runnable := (idx, req) :: !runnable;
@@ -511,12 +769,22 @@ let handle_batch t lines =
             Json.String (Expo.prometheus ())
           | Request.Shutdown ->
             t.stopping <- true;
+            (* queued behind whatever is in flight, which the backend
+               answers first *)
             if t.cfg.forward_shutdown then
               List.iter
-                (fun backend_name ->
-                  ignore
-                    (t.rpc ~path:backend_name ~timeout_s:t.cfg.probe_timeout_s
-                       {|{"scenario":"shutdown"}|}))
+                (fun b ->
+                  match t.transport with
+                  | Rpc rpc ->
+                    ignore
+                      (rpc ~path:b.name ~timeout_s:t.cfg.probe_timeout_s
+                         shutdown_line)
+                  | Links -> (
+                    match connect t b with
+                    | Ok l ->
+                      send_on t b l Ignore shutdown_line
+                        ~timeout_s:t.cfg.probe_timeout_s
+                    | Error _ -> ()))
                 t.order;
             Json.String "stopping"
         in
@@ -524,11 +792,6 @@ let handle_batch t lines =
         responses.(idx) <- ok_response ~scenario:name ~elapsed_ms req.id result
       | Request.Scenario scenario ->
         if Hashtbl.mem admitted idx then begin
-          let deadline_abs =
-            Option.map
-              (fun d -> batch_start +. (float_of_int d /. 1000.))
-              req.deadline_ms
-          in
           (* invalid requests are answered here and never dispatched;
              a key validated before skips building its configuration *)
           let key = Handlers.key scenario in
@@ -539,9 +802,9 @@ let handle_batch t lines =
               with exn -> Error (Printexc.to_string exn)
           with
           | Error message ->
-            t.errors_total <- t.errors_total + 1;
+            count_error t;
             responses.(idx) <- error_response req.id "invalid_request" message
-          | Ok _ -> (
+          | Ok _ ->
             Cache.add t.validated key ();
             t.routed_total <- t.routed_total + 1;
             Obs.inc obs_routed;
@@ -558,111 +821,76 @@ let handle_batch t lines =
                   (inject_trace_id raw_lines.(idx) tid, Some tid)
               else (raw_lines.(idx), None)
             in
-            match
-              Span.with_trace trace (fun () ->
-                Span.span "cluster.route" (fun () ->
-                  dispatch t ~key ~deadline_abs line))
-            with
-            | Response response_line ->
-              (* forwarded verbatim: the cluster adds no bytes, so a
-                 response is bit-identical to the backend's own *)
-              responses.(idx) <- response_line
-            | Unavailable message ->
-              responses.(idx) <- degraded_response t req.id message
-            | Expired ->
-              t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
-              t.errors_total <- t.errors_total + 1;
-              Obs.inc obs_deadline;
-              Obs.inc obs_errors;
-              responses.(idx) <-
-                error_response req.id "deadline_exceeded"
-                  (Printf.sprintf "deadline of %d ms expired while routing"
-                     (Option.value req.deadline_ms ~default:0)))
+            block.missing <- block.missing + 1;
+            attempt t
+              {
+                block;
+                slot = idx;
+                id = req.id;
+                deadline_ms = req.deadline_ms;
+                deadline_abs =
+                  Option.map
+                    (fun d -> batch_start +. (float_of_int d /. 1000.))
+                    req.deadline_ms;
+                line;
+                candidates =
+                  Array.of_list
+                    (List.map (Hashtbl.find t.table) (Ring.ordered t.ring key));
+                serial = t.routed_total;
+                attempt = 0;
+                last_error = None;
+                backoff = None;
+                answered = false;
+                route_span =
+                  Span.with_trace trace (fun () -> Span.start "cluster.route");
+                dispatch_span = None;
+              }
         end)
     order;
-  Obs.add obs_responses (Array.length responses);
-  Array.to_list responses
+  block.missing <- block.missing - 1;
+  if block.missing = 0 then complete block;
+  flush_links t
+
+(* The synchronous call drives the same state machine as the serving
+   loop until this batch completes. *)
+let handle_batch t lines =
+  let result = ref None in
+  submit t lines (fun responses -> result := Some responses);
+  let rec drive () =
+    match !result with
+    | Some responses -> responses
+    | None ->
+      let wait = tick t in
+      (if !result = None then
+         match watch t with
+         | [], [] -> (
+           (* nothing on the wire: only a backoff wait is left *)
+           match t.timers with
+           | (due, d) :: rest ->
+             t.sleep (Float.max 0. (due -. t.now ()));
+             t.timers <- rest;
+             attempt t d;
+             flush_links t
+           | [] -> failwith "Cluster.handle_batch: batch cannot complete")
+         | reads, writes -> (
+           match Unix.select reads writes [] wait with
+           | r, w, _ -> ready t r w
+           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()));
+      drive ()
+  in
+  drive ()
 
 let stopped t = t.stopping
 let request_stop t = t.stopping <- true
 
-(* periodic observability snapshot, same contract as [Server]'s *)
-let write_metrics_snapshot t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some path -> (
-    t.last_metrics_write <- t.now ();
-    match Expo.write_snapshot ~path () with
-    | () -> Obs.inc obs_snapshots
-    | exception Sys_error _ -> ())
-
-let maybe_write_metrics t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some _ ->
-    if t.now () -. t.last_metrics_write >= t.cfg.metrics_every_s then
-      write_metrics_snapshot t
-
-let flush_batch t batch oc =
-  match List.rev batch with
-  | [] -> ()
-  | lines ->
-    List.iter
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n')
-      (handle_batch t lines);
-    flush oc
-
-let run_stdio t ic oc =
-  let batch = ref [] in
-  let continue = ref true in
-  while !continue do
-    match input_line ic with
-    | line ->
-      if String.trim line = "" then begin
-        flush_batch t !batch oc;
-        batch := [];
-        maybe_write_metrics t;
-        if t.stopping then continue := false
-      end
-      else batch := line :: !batch
-    | exception End_of_file ->
-      flush_batch t !batch oc;
-      batch := [];
-      maybe_write_metrics t;
-      continue := false
-  done
-
-let run_unix t ~socket_path =
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink socket_path with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX socket_path);
-      Unix.listen sock 16;
-      while not t.stopping do
-        (* wake at least once per health period so probes run while
-           idle; an EINTR'd wait re-checks the stop flag (SIGTERM) *)
-        match Netio.accept ~timeout_s:t.cfg.health_period_s sock with
-        | `Timeout ->
-          probe t;
-          maybe_write_metrics t
-        | `Interrupted -> ()
-        | `Conn fd ->
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          (* a client that vanished mid-batch (EPIPE/ECONNRESET with
-             SIGPIPE ignored) tears down this connection, nothing else *)
-          (try run_stdio t ic oc
-           with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
-          (try flush oc with Sys_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-      done;
-      (* final snapshot: capture the run's last state for post-mortems *)
-      write_metrics_snapshot t)
+let handler t =
+  {
+    Serve_loop.batch = submit t;
+    watch = (fun () -> watch t);
+    ready = ready t;
+    tick = (fun () -> tick t);
+    stopped = (fun () -> t.stopping);
+    max_pending = t.cfg.queue_depth;
+    metrics_file = t.cfg.metrics_file;
+    metrics_every_s = t.cfg.metrics_every_s;
+  }

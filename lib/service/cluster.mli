@@ -7,6 +7,15 @@
     the same backend (whose LRU stays warm) and membership changes only
     remap the failed backend's arc.
 
+    Dispatch is concurrent and pipelined: the router holds one
+    persistent connection per backend and writes each request to it
+    without waiting for earlier replies, so every backend computes at
+    once.  A backend answers each connection in order, so replies are
+    matched FIFO per connection; a client batch is answered when its
+    last request is, and each client connection gets its answers in
+    send order ({!Serve_loop}).  Health probes travel over the same
+    connection.
+
     Failure handling, in layers:
 
     - {b health checking}: each backend is pinged when [health_period_s]
@@ -15,8 +24,13 @@
       backend is re-admitted within one period.
     - {b retries with backoff}: a failed dispatch (connect error,
       timeout, torn connection) is retried against the next backend in
-      ring-preference order, up to [attempts] total, sleeping a
-      decorrelated-jitter {!Etx_util.Backoff} delay between attempts.
+      ring-preference order, up to [attempts] total, after a
+      decorrelated-jitter {!Etx_util.Backoff} delay drawn per request
+      and waited out as a timer of the serving loop.  When a backend
+      connection drops, or a request on it has waited
+      [request_timeout_s], the connection is closed, one transport
+      failure is counted, and every request in flight on it moves to
+      its next candidate.
     - {b circuit breaking}: consecutive transport failures trip a
       per-backend {!Breaker}; an open breaker refuses instantly instead
       of paying the timeout again, and a half-open probe re-admits the
@@ -26,8 +40,10 @@
       (round-robin, one per client per round); the rest get an explicit
       [degraded] error carrying [retry_after_ms] instead of hanging.
     - {b deadlines}: a request's [deadline_ms] bounds the whole routed
-      attempt (dispatch timeouts and backoff sleeps are clipped to the
-      remainder); expiry yields [deadline_exceeded], never a hang.
+      attempt (backoff waits are clipped to the remainder); expiry —
+      before dispatch or while in flight — yields [deadline_exceeded],
+      never a hang.  A late reply is read and dropped, so the
+      connection stays aligned.
 
     A request that exhausts every layer gets a [degraded] error with
     [retry_after_ms] — an explicit "come back later", never silence.
@@ -40,7 +56,9 @@ type config = {
   replicas : int;  (** ring virtual nodes per backend *)
   attempts : int;  (** total dispatch attempts per request; >= 1 *)
   connect_timeout_s : float;
-  request_timeout_s : float;  (** per-response read deadline *)
+  request_timeout_s : float;
+      (** longest a request may wait for its reply before its backend
+          connection is closed *)
   probe_timeout_s : float;  (** health-check ping deadline *)
   health_period_s : float;  (** quiet time before a backend is probed *)
   failure_threshold : int;  (** consecutive failures to mark Down / trip open *)
@@ -55,9 +73,9 @@ type config = {
           all-in-one [cluster] subcommand owns its backends; a [route]
           front-end over foreign daemons does not) *)
   metrics_file : string option;
-      (** when set, the serving loops periodically commit an
+      (** when set, the serving loop periodically commits an
           [Etx_obs.Expo] JSON snapshot to this path (atomic), plus a
-          final one as [run_unix] exits. *)
+          final one as it exits. *)
   metrics_every_s : float;  (** snapshot pacing; only read when
           [metrics_file] is set *)
 }
@@ -72,8 +90,9 @@ val default_config : backends:string list -> config
 type rpc = path:string -> timeout_s:float -> string -> (string, string) result
 (** One request line in, one response line out, within [timeout_s]
     seconds total.  [Error] is a transport-level failure description.
-    Injectable so the failover logic is unit-testable without sockets;
-    the default dials the Unix socket. *)
+    Injectable so the failover logic is unit-testable without sockets:
+    with an [rpc], each attempt completes inside the call.  Without
+    one, the router uses its persistent backend connections. *)
 
 type t
 
@@ -81,6 +100,9 @@ val create :
   ?now:(unit -> float) -> ?sleep:(float -> unit) -> ?rpc:rpc -> config -> t
 (** [now]/[sleep] (seconds) default to [Unix.gettimeofday] and
     [Unix.sleepf]; inject both to unit-test time-dependent behavior.
+    [sleep] is only called by the synchronous {!handle_batch}, to wait
+    out a backoff while nothing is on the wire; the serving loop never
+    sleeps.
     @raise Invalid_argument on an empty backend list, duplicate
     backends, or non-positive numeric settings. *)
 
@@ -91,24 +113,29 @@ val handle_batch : t -> string list -> string list
     responses pass through byte-for-byte.  A scenario request whose
     parameters fail validation is answered [invalid_request] locally and
     never dispatched; the router remembers a bounded set of keys it has
-    validated, so a repeated key is not validated again. *)
+    validated, so a repeated key is not validated again.  The call
+    submits the batch to the same dispatch state machine the serving
+    loop drives and drives it until the batch completes. *)
 
 val probe : t -> unit
-(** Health-check every backend whose [health_period_s] has elapsed.
-    Called automatically at batch start and while {!run_unix} idles. *)
+(** Health-check every idle backend whose [health_period_s] has
+    elapsed.  Called automatically at batch start and on every turn of
+    the serving loop. *)
 
 val stats_json : t -> Etx_util.Json.t
-(** Cluster-level stats: per-backend health/breaker state and counters
-    (routed, failovers, shed, degraded, deadline-exceeded, probes). *)
+(** Cluster-level stats: per-backend health/breaker state, in-flight
+    count and counters (routed, failovers, shed, degraded,
+    deadline-exceeded, probes). *)
 
 val stopped : t -> bool
 
 val request_stop : t -> unit
-(** Ask the serving loops to exit after the batch in flight: the
-    graceful-drain hook for a SIGTERM handler.  Safe from a signal
-    handler or another domain. *)
+(** Ask the serving loop to stop reading and exit once every accepted
+    batch is answered: the graceful-drain hook for a SIGTERM handler.
+    Safe from a signal handler or another domain. *)
 
-val run_stdio : t -> in_channel -> out_channel -> unit
-val run_unix : t -> socket_path:string -> unit
-(** Same transports as {!Server}; {!run_unix} interleaves health probes
-    while idle (it wakes at least once per [health_period_s]). *)
+val handler : t -> Serve_loop.handler
+(** The router as a {!Serve_loop} handler: batches from every client
+    connection are dispatched concurrently over the backend
+    connections, whose replies, timeouts, backoff waits and probes the
+    loop drives on its turns. *)

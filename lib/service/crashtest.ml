@@ -478,11 +478,241 @@ let manifest ?(seed = 1) ~dir () =
     violations = List.rev !violations;
   }
 
-let run ?(seed = 1) ?(parts = [ `Store; `Checkpoint; `Manifest ]) ~dir () =
+(* - part 4: the serving loop's socket paths -
+
+   A forked [serve] child answers a fixed client script over its Unix
+   socket: two pipelined batches on one connection, one batch on a
+   second, a ping on a third (every key distinct, so each answer is the
+   same whichever connection a failure costs).  A recording pass enumerates every
+   [net.*] hit in the child; each hit is then replayed as a crash (the
+   daemon dies there) and with injected failures: a hard error, which
+   may cost the one connection it lands on, and short or interrupted
+   transfers, which must be absorbed.  Every answer a client receives
+   must be a complete line equal to the clean run's ([elapsed_ms]
+   aside), and after any non-crash failure the daemon must still
+   answer a fresh connection and shut down cleanly. *)
+
+let net_script =
+  [
+    [
+      [
+        {|{"id":"a1","scenario":"simulate","params":{"mesh_size":4}}|};
+        {|{"id":"a2","scenario":"ping"}|};
+      ];
+      [ {|{"id":"a3","scenario":"simulate","params":{"mesh_size":4,"seed":2}}|} ];
+    ];
+    [ [ {|{"id":"b1","scenario":"simulate","params":{"mesh_size":4,"seed":3}}|} ] ];
+    [ [ {|{"id":"c1","scenario":"ping"}|} ] ];
+  ]
+
+(* the one field that differs between two correct runs *)
+let strip_elapsed line =
+  let tag = {|"elapsed_ms":|} in
+  let n = String.length tag in
+  let rec find i =
+    if i + n > String.length line then None
+    else if String.sub line i n = tag then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some i -> (
+    match String.index_from_opt line (i + n) ',' with
+    | None -> line
+    | Some j -> String.sub line 0 (i + n) ^ String.sub line j (String.length line - j))
+
+type exchange = { lines : string list; torn : bool }
+
+(* one connection of the script: send every batch, then read complete
+   lines until all are answered, the daemon closes, or 5 s pass *)
+let exchange socket batches =
+  let now = Unix.gettimeofday in
+  match Netio.connect ~deadline:(now () +. 2.) ~now socket with
+  | Error _ -> { lines = []; torn = false }
+  | Ok fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let want = List.length (List.concat batches) in
+        let payload =
+          String.concat "" (List.map (fun b -> String.concat "\n" b ^ "\n\n") batches)
+        in
+        (try Netio.write_all ~deadline:(now () +. 2.) ~now fd (Bytes.of_string payload)
+         with Unix.Unix_error _ | Failure _ -> ());
+        let r = Netio.reader fd in
+        let deadline = now () +. 5. in
+        let rec go acc =
+          if List.length acc = want then { lines = List.rev acc; torn = false }
+          else
+            match Netio.take_line r with
+            | Some line -> go (line :: acc)
+            | None ->
+              let stop () = { lines = List.rev acc; torn = Netio.buffered r > 0 } in
+              if Netio.at_eof r || now () > deadline then stop ()
+              else (
+                match Unix.select [ fd ] [] [] (Float.max 0. (deadline -. now ())) with
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc
+                | _ -> (
+                  match Netio.fill r with
+                  | _ -> go acc
+                  | exception (Unix.Unix_error _ | Sys_error _) -> stop ()))
+        in
+        go [])
+
+let net ?(seed = 1) ~dir () =
+  let violations = ref [] in
+  let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  let rng = Prng.create ~seed in
+  let dir_n = fresh_dir (Filename.concat dir "net") in
+  let socket = Filename.concat dir_n "serve.sock" in
+  let hits_file = Filename.concat dir_n "hits" in
+  let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous_sigpipe)
+  @@ fun () ->
+  (* a daemon child; [arm] runs once its server exists *)
+  let spawn ~arm ~record =
+    (try Sys.remove socket with Sys_error _ -> ());
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+      Failpoint.on_crash := (fun _ -> Unix._exit crash_exit_code);
+      (try
+         let server = Server.create { Server.default_config with domains = 1 } in
+         Failpoint.reset ();
+         arm ();
+         Serve_loop.run ~socket_path:socket (Server.handler server);
+         if record then
+           Out_channel.with_open_text hits_file (fun oc ->
+             List.iter
+               (fun (site, n) -> Printf.fprintf oc "%s %d\n" site n)
+               (Failpoint.sites_hit ()))
+       with _ -> ());
+      Unix._exit 0
+    | pid ->
+      let deadline = Unix.gettimeofday () +. 10. in
+      while
+        (not (Sys.file_exists socket))
+        && Unix.gettimeofday () < deadline
+        && fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0
+      do
+        Unix.sleepf 0.005
+      done;
+      pid
+  in
+  (* shut the child down (or kill it) and return its exit code *)
+  let stop pid =
+    ignore (exchange socket [ [ {|{"scenario":"shutdown"}|} ] ]);
+    let deadline = Unix.gettimeofday () +. 5. in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.005;
+        wait ()
+      | 0, _ ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (match Unix.waitpid [] pid with
+        | _, Unix.WEXITED code -> code
+        | _ -> -1)
+      | _, Unix.WEXITED code -> code
+      | _ -> -1
+      | exception Unix.Unix_error _ -> -1
+    in
+    wait ()
+  in
+  let run_script () = List.map (exchange socket) net_script in
+  let pid = spawn ~arm:(fun () -> Failpoint.record_sites true) ~record:true in
+  let reference = List.map (fun e -> List.map strip_elapsed e.lines) (run_script ()) in
+  if stop pid <> 0 then violation "net: the clean run did not shut down cleanly";
+  List.iter2
+    (fun lines batches ->
+      if List.length lines <> List.length (List.concat batches) then
+        violation "net: the clean run left requests unanswered")
+    reference net_script;
+  let sites =
+    match In_channel.with_open_text hits_file In_channel.input_all with
+    | exception Sys_error _ -> []
+    | text ->
+      String.split_on_char '\n' text
+      |> List.filter_map (fun l ->
+             match String.split_on_char ' ' l with
+             | [ site; n ] when String.starts_with ~prefix:"net." site ->
+               Option.map (fun n -> (site, n)) (int_of_string_opt n)
+             | _ -> None)
+  in
+  if sites = [] then violation "net: no socket sites enumerated";
+  let kills = ref 0 and injections = ref 0 in
+  List.iter
+    (fun (site, count) ->
+      let hard = if site = "net.write" then Unix.EPIPE else Unix.EIO in
+      for occ = 1 to count do
+        List.iter
+          (fun (failure, desc) ->
+            let desc = Printf.sprintf "%s at %s#%d" desc site occ in
+            let pid =
+              spawn ~record:false ~arm:(fun () ->
+                  Failpoint.arm ~after:(occ - 1) site failure)
+            in
+            let got = run_script () in
+            let crashed = failure = Failpoint.Crash in
+            let absorbed =
+              match failure with
+              | Failpoint.Crash -> false
+              | Failpoint.Errno e -> e = Unix.EINTR || site = "net.accept"
+              | _ -> true
+            in
+            (* the armed hit may land on this ping itself; it fires
+               once, so a second ping must answer *)
+            let ping () =
+              match exchange socket [ [ {|{"id":"z","scenario":"ping"}|} ] ] with
+              | { lines = [ line ]; _ } ->
+                String.starts_with ~prefix:{|{"id":"z","status":"ok"|} line
+              | _ -> false
+            in
+            let alive = crashed || ping () || ping () in
+            let code = stop pid in
+            if crashed then incr kills else incr injections;
+            let short = ref 0 in
+            List.iter2
+              (fun e want ->
+                let lines = List.map strip_elapsed e.lines in
+                let n = List.length lines in
+                if lines <> List.filteri (fun i _ -> i < n) want then
+                  violation "net: %s: an answer differs from the clean run's" desc;
+                if e.torn && not crashed then
+                  violation "net: %s: a torn line was delivered" desc;
+                if n < List.length want then incr short)
+              got reference;
+            if absorbed && !short > 0 then
+              violation "net: %s: the failure was not absorbed" desc;
+            if (not crashed) && !short > 1 then
+              violation "net: %s: the failure cost more than one connection" desc;
+            if not alive then
+              violation "net: %s: the daemon stopped serving new connections" desc;
+            if (not crashed) && code <> 0 then
+              violation "net: %s: no clean shutdown (exit %d)" desc code)
+          [
+            (Failpoint.Crash, "crash");
+            (Failpoint.Errno hard, Unix.error_message hard);
+            (Failpoint.Short (1 + Prng.int rng ~bound:8), "short transfer");
+            (Failpoint.Errno Unix.EINTR, "EINTR");
+          ]
+      done)
+    sites;
+  {
+    part = "net";
+    seed;
+    kill_points = !kills;
+    injections = !injections;
+    violations = List.rev !violations;
+  }
+
+let run ?(seed = 1) ?(parts = [ `Store; `Checkpoint; `Manifest; `Net ]) ~dir () =
   let dir = ensure_dir dir in
   List.map
     (function
       | `Store -> store ~seed ~dir ()
       | `Checkpoint -> checkpoint ~seed ~dir ()
-      | `Manifest -> manifest ~seed ~dir ())
+      | `Manifest -> manifest ~seed ~dir ()
+      | `Net -> net ~seed ~dir ())
     parts

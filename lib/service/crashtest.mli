@@ -18,6 +18,10 @@
     - recovery sweeps leftover [*.tmp] files;
     - the artifact accepts subsequent writes.
 
+    The [net] part applies the same enumeration to the serving loop's
+    socket reads, writes and accepts, with a forked daemon and a fixed
+    client script.
+
     A second, in-process pass injects non-crash failures (ENOSPC, EIO,
     short and interrupted transfers, rename failure, fsync failure) at
     every enumerated site and asserts the writers absorb or report them
@@ -50,11 +54,21 @@ val manifest : ?seed:int -> dir:string -> unit -> report
     resumed sweep that must complete and leave the manifest bytes equal
     to a clean run's. *)
 
+val net : ?seed:int -> dir:string -> unit -> report
+(** The serving loop's socket paths: a forked [serve] child answers a
+    fixed client script while each enumerated [net.*] hit is replayed
+    as a crash, a hard error (EIO, or EPIPE on writes), a short transfer
+    and [EINTR].  Every answer a client receives must be complete and
+    equal a clean run's; a hard error may cost only the connection it
+    lands on; short and interrupted transfers must be absorbed; after
+    any non-crash failure the daemon must answer a fresh connection and
+    shut down cleanly. *)
+
 val run :
   ?seed:int ->
-  ?parts:[ `Store | `Checkpoint | `Manifest ] list ->
+  ?parts:[ `Store | `Checkpoint | `Manifest | `Net ] list ->
   dir:string ->
   unit ->
   report list
-(** All requested parts (default: all three) under a scratch [dir],
+(** All requested parts (default: all four) under a scratch [dir],
     which is created and left behind for inspection. *)

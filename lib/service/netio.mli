@@ -1,15 +1,23 @@
-(** Deadline-aware Unix-socket primitives, safe against [EINTR].
+(** Socket primitives for the serving loop, the router's backend
+    connections and the [client] CLI.
 
-    The cluster transport, the [client] CLI and the daemon accept loops
-    all block in [select]/[connect]/[read]/[write]; a signal landing
-    mid-wait (SIGCHLD from a supervised backend, SIGTERM starting a
-    drain) interrupts the syscall with [EINTR].  These wrappers retry
-    with the {e remaining} absolute deadline instead of surfacing
-    [Unix_error] or extending the wait.
-
+    Blocking calls ({!connect}, {!write_all}, {!read_line}) take an
+    absolute deadline and retry [EINTR] with what remains of it: a
+    signal landing mid-wait (SIGCHLD from a supervised backend, SIGTERM
+    starting a drain) neither fails the call nor extends the wait.
     Timeouts raise [Failure "connect timed out" / "write timed out" /
-    "response timed out"]; [deadline = None] waits forever.  Failpoint
-    sites: [net.connect], [net.write], [net.read], [net.accept]. *)
+    "response timed out"]; [deadline = None] waits forever.
+
+    Non-blocking calls ({!fill}, {!flush_some}) make one syscall each,
+    for a [select] loop that already knows the descriptor is ready; they
+    report [EAGAIN]/[EINTR] as no progress.  A {!reader} and a {!writer}
+    are the reusable per-connection buffers: one of each per client
+    connection of {!Serve_loop} and per backend connection of
+    {!Cluster}.
+
+    Failpoint sites: [net.connect], [net.write], [net.read],
+    [net.accept].  Every read and write syscall here — blocking or
+    not — passes [net.read] / [net.write]. *)
 
 val connect :
   ?deadline:float -> now:(unit -> float) -> string -> (Unix.file_descr, string) result
@@ -22,7 +30,7 @@ val write_all : ?deadline:float -> now:(unit -> float) -> Unix.file_descr -> byt
 
 type reader
 (** Buffered line reader over a descriptor (bytes read past a newline
-    are kept for the next call). *)
+    are kept for the next line). *)
 
 val reader : Unix.file_descr -> reader
 
@@ -31,10 +39,38 @@ val read_line : ?deadline:float -> now:(unit -> float) -> reader -> string optio
     trailing line is returned once; [None] at end of stream.
     @raise Failure on deadline, [Unix.Unix_error] on hard failure. *)
 
+val fill : reader -> [ `Data | `Eof | `Again ]
+(** One read syscall into the buffer.
+    @raise Unix.Unix_error or [Sys_error] on a hard failure. *)
+
+val take_line : reader -> string option
+(** The next complete buffered line, without its newline; no syscall. *)
+
+val buffered : reader -> int
+(** Bytes buffered but not yet taken: after {!take_line} returned
+    [None], the length of the unterminated line so far. *)
+
+val at_eof : reader -> bool
+
+val take_rest : reader -> string option
+(** At end of stream, the unterminated trailing line, once. *)
+
+type writer
+(** Output queue over a descriptor. *)
+
+val writer : Unix.file_descr -> writer
+val queue : writer -> string -> unit
+
+val queued : writer -> int
+(** Bytes queued and not yet written. *)
+
+val flush_some : writer -> unit
+(** One write syscall of the queued bytes.
+    @raise Unix.Unix_error or [Sys_error] on a hard failure. *)
+
 val accept :
   ?timeout_s:float ->
   Unix.file_descr ->
   [ `Conn of Unix.file_descr | `Timeout | `Interrupted ]
 (** Accept with a bounded wait.  [`Interrupted] reports an [EINTR]'d
-    select so the caller's loop can re-check its stop flag — the hook
-    that makes SIGTERM drain responsive. *)
+    select so the caller's loop can re-check its stop flag. *)

@@ -66,10 +66,6 @@ let obs_queue_depth =
   Obs.gauge ~help:"Scenario requests admitted in the latest batch"
     "etx_server_queue_depth"
 
-let obs_snapshots =
-  Obs.counter ~help:"Metrics snapshot files committed"
-    "etx_obs_snapshots_written_total"
-
 (* Per-scenario latency: an all-time Welford summary plus a bounded ring
    of recent samples for percentiles, so a server up for weeks still
    reports the current tail, not its whole history averaged flat. *)
@@ -92,7 +88,6 @@ type t = {
   mutable served_total : int;
   mutable errors_total : int;
   mutable deadline_exceeded_total : int;
-  mutable last_metrics_write : float;
   mutable stopping : bool;
 }
 
@@ -118,28 +113,8 @@ let create ?(now = Unix.gettimeofday) cfg =
     served_total = 0;
     errors_total = 0;
     deadline_exceeded_total = 0;
-    last_metrics_write = 0.;
     stopping = false;
   }
-
-(* periodic observability snapshot: best-effort (the registry is live in
-   memory; the file is for post-mortems), paced by [metrics_every_s],
-   atomic so a crash mid-write never leaves a torn file *)
-let write_metrics_snapshot t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some path -> (
-    t.last_metrics_write <- t.now ();
-    match Expo.write_snapshot ~path () with
-    | () -> Obs.inc obs_snapshots
-    | exception Sys_error _ -> ())
-
-let maybe_write_metrics t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some _ ->
-    if t.now () -. t.last_metrics_write >= t.cfg.metrics_every_s then
-      write_metrics_snapshot t
 
 let stopped t = t.stopping
 let request_stop t = t.stopping <- true
@@ -436,67 +411,14 @@ let handle_batch t lines =
   Obs.add obs_responses (Array.length responses);
   Array.to_list responses
 
-let flush_batch t batch oc =
-  match List.rev batch with
-  | [] -> ()
-  | lines ->
-    List.iter
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n')
-      (handle_batch t lines);
-    flush oc
-
-let run_stdio t ic oc =
-  let batch = ref [] in
-  let continue = ref true in
-  while !continue do
-    match input_line ic with
-    | line ->
-      if String.trim line = "" then begin
-        flush_batch t !batch oc;
-        batch := [];
-        maybe_write_metrics t;
-        if t.stopping then continue := false
-      end
-      else batch := line :: !batch
-    | exception End_of_file ->
-      flush_batch t !batch oc;
-      batch := [];
-      maybe_write_metrics t;
-      continue := false
-  done
-
-let run_unix t ~socket_path =
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  (* A client that disconnects mid-response must not kill the server. *)
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-      shutdown t)
-    (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX socket_path);
-      Unix.listen sock 16;
-      while not t.stopping do
-        (* bounded accept waits so a SIGTERM drain (request_stop from
-           the handler) is observed within a beat, not at the next
-           connection; EINTR re-checks the flag immediately *)
-        match Netio.accept ~timeout_s:0.25 sock with
-        | `Timeout | `Interrupted -> maybe_write_metrics t
-        | `Conn fd ->
-          (* in and out channels share the fd: flush, then close once.
-             A peer that vanished mid-response (EPIPE/ECONNRESET with
-             SIGPIPE ignored) costs this connection, not the process. *)
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          (try run_stdio t ic oc
-           with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
-          (try flush oc with Sys_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-      done;
-      (* final snapshot: capture the run's last state for post-mortems *)
-      write_metrics_snapshot t)
+let handler t =
+  {
+    Serve_loop.batch = (fun lines answer -> answer (handle_batch t lines));
+    watch = (fun () -> ([], []));
+    ready = (fun _ _ -> ());
+    tick = (fun () -> infinity);
+    stopped = (fun () -> t.stopping);
+    max_pending = t.cfg.queue_depth;
+    metrics_file = t.cfg.metrics_file;
+    metrics_every_s = t.cfg.metrics_every_s;
+  }

@@ -41,9 +41,9 @@ type config = {
           other backend sharing the directory — keep the cache.  [None]
           disables durability. *)
   metrics_file : string option;
-      (** when set, the serving loops periodically commit an
+      (** when set, the serving loop periodically commits an
           [Etx_obs.Expo] JSON snapshot to this path (atomic temp +
-          fsync + rename), plus a final one as [run_unix] exits — the
+          fsync + rename), plus a final one as it exits — the
           post-mortem record for chaos runs.  [None] disables it. *)
   metrics_every_s : float;  (** snapshot pacing; only read when
           [metrics_file] is set *)
@@ -78,7 +78,7 @@ val stopped : t -> bool
     reading and call {!shutdown}. *)
 
 val request_stop : t -> unit
-(** Ask the serving loops to exit after the batch in flight completes —
+(** Ask the serving loop to exit after the batch in flight completes —
     the graceful-drain hook for a SIGTERM handler: accepted work is
     finished and answered, nothing new is read.  Safe from a signal
     handler or another domain. *)
@@ -86,14 +86,10 @@ val request_stop : t -> unit
 val shutdown : t -> unit
 (** Release the worker pool.  Idempotent. *)
 
-val run_stdio : t -> in_channel -> out_channel -> unit
-(** Serve batches from a stream until end of input or a [shutdown]
-    request.  Blank line = batch boundary.  Does not call {!shutdown}
-    (the caller owns the server). *)
-
-val run_unix : t -> socket_path:string -> unit
-(** Bind a Unix domain socket (an existing file at that path is
-    replaced), then accept connections one at a time, serving each with
-    the stream protocol until a [shutdown] request arrives.  The socket
-    file is removed and the pool released before returning.
-    @raise Unix.Unix_error if the socket cannot be bound. *)
+val handler : t -> Serve_loop.handler
+(** The server as a {!Serve_loop} handler: each batch is answered
+    synchronously by {!handle_batch}, in arrival order per connection;
+    the loop serves many connections at once, so a client that holds
+    its connection open idle delays nobody else.  Pass it to
+    {!Serve_loop.run}; the caller still owns the server and calls
+    {!shutdown}. *)

@@ -228,8 +228,8 @@ trap 'rm -rf "$dir"' EXIT
           Alcotest.(check bool)
             (part ^ " part ran clean") true
             (contains output (Printf.sprintf "crashtest %-10s seed 3" part)))
-        [ "store"; "checkpoint"; "manifest" ];
-      Alcotest.(check int) "every part reports zero violations" 3
+        [ "store"; "checkpoint"; "manifest"; "net" ];
+      Alcotest.(check int) "every part reports zero violations" 4
         (List.length
            (String.split_on_char '\n' output
            |> List.filter (fun l -> contains l "0 violation(s)"))))

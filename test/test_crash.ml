@@ -6,7 +6,8 @@
    the artifact and check the recovery invariants — no committed entry
    lost, nothing partial served, temp files swept, bytes bit-identical —
    plus the in-process injection pass (ENOSPC, EIO, EINTR, short and
-   torn transfers, rename failure).
+   torn transfers, rename failure).  The net part does the same for the
+   serving loop's socket paths against a forked daemon.
 
    A failing seed is the QCheck counterexample — replay it with
    `etx crashtest --seed N`. *)
@@ -69,6 +70,9 @@ let suite =
            keep the trial count low *)
         QCheck_alcotest.to_alcotest
           (make "manifest" (fun ~seed ~dir () -> Crashtest.manifest ~seed ~dir ()) 2);
+        (* a forked daemon per injection: one trial *)
+        QCheck_alcotest.to_alcotest
+          (make "net" (fun ~seed ~dir () -> Crashtest.net ~seed ~dir ()) 1);
       ] );
   ]
 

@@ -372,6 +372,81 @@ let test_router_forwards_verbatim_when_disarmed () =
       forwarded
   | _ -> Alcotest.fail "expected one forwarded line"
 
+(* The router's stats and its exposition count the same errors: a
+   malformed line, an invalid request, a shed request. *)
+let test_router_error_counters_agree () =
+  armed (fun () ->
+      let cluster =
+        Cluster.create
+          ~now:(fun () -> 0.)
+          ~sleep:(fun _ -> ())
+          ~rpc:(fun ~path:_ ~timeout_s:_ _ -> Ok {|{"status":"ok","id":0}|})
+          {
+            (Cluster.default_config ~backends:[ "a.sock" ]) with
+            Cluster.health_period_s = 1000.;
+            queue_depth = 2;
+          }
+      in
+      let statuses =
+        List.map
+          (fun line ->
+            match Json.parse_result line with
+            | Ok j -> str_member "status" j
+            | Error m -> Alcotest.failf "bad response %s: %s" line m)
+          (Cluster.handle_batch cluster
+             [
+               "not json";
+               {|{"scenario":"simulate","params":{"policy":"quantum"}}|};
+               request_line;
+               {|{"scenario":"simulate","params":{"mesh_size":5}}|};
+             ])
+      in
+      Alcotest.(check (list string)) "malformed, invalid, ok, shed"
+        [ "error"; "error"; "ok"; "error" ] statuses;
+      let stats =
+        match Cluster.handle_batch cluster [ {|{"scenario":"stats"}|} ] with
+        | [ line ] -> (
+          match Json.parse_result line with
+          | Ok j -> (
+            match Option.bind (Json.member "result" j) (Json.member "errors_total") with
+            | Some (Json.Int n) -> n
+            | _ -> Alcotest.fail "no errors_total")
+          | Error m -> Alcotest.fail m)
+        | _ -> Alcotest.fail "one stats line expected"
+      in
+      let scraped =
+        String.split_on_char '\n' (Expo.prometheus ())
+        |> List.find_map (fun l ->
+               match String.split_on_char ' ' l with
+               | [ "etx_cluster_errors_total"; v ] -> int_of_string_opt v
+               | _ -> None)
+      in
+      Alcotest.(check int) "three errors counted" 3 stats;
+      Alcotest.(check (option int)) "stats field equals the scraped counter"
+        (Some stats) scraped)
+
+(* cluster.route spans a request from arrival to answer, with each
+   cluster.dispatch attempt beneath it *)
+let test_router_spans_cover_dispatch () =
+  armed (fun () ->
+      let cluster = in_process_cluster (ref []) in
+      ignore (Cluster.handle_batch cluster [ request_line ]);
+      let spans = Span.recent () in
+      match
+        ( List.filter (fun s -> s.Span.name = "cluster.route") spans,
+          List.filter (fun s -> s.Span.name = "cluster.dispatch") spans )
+      with
+      | [ route ], [ dispatch ] ->
+        Alcotest.(check int) "route is a root span" 0 route.Span.parent_id;
+        Alcotest.(check int) "dispatch parents to route" route.Span.span_id
+          dispatch.Span.parent_id;
+        Alcotest.(check bool) "dispatch inside route" true
+          (route.Span.start_s <= dispatch.Span.start_s
+          && dispatch.Span.end_s <= route.Span.end_s)
+      | routes, dispatches ->
+        Alcotest.failf "expected one route and one dispatch span, got %d and %d"
+          (List.length routes) (List.length dispatches))
+
 let test_server_metrics_request () =
   armed (fun () ->
       let server = Server.create { Server.default_config with Server.domains = 1 } in
@@ -439,6 +514,10 @@ let suite =
           test_router_respects_client_trace_id;
         Alcotest.test_case "router forwards verbatim when disarmed" `Quick
           test_router_forwards_verbatim_when_disarmed;
+        Alcotest.test_case "router error counters agree" `Quick
+          test_router_error_counters_agree;
+        Alcotest.test_case "router spans cover dispatch" `Quick
+          test_router_spans_cover_dispatch;
         Alcotest.test_case "server metrics request" `Quick
           test_server_metrics_request;
       ] );
