@@ -163,14 +163,5 @@ let finish = function
         end_s = now_s ();
       }
 
-let enter o f =
-  match o with
-  | None -> f ()
-  | Some o ->
-    with_trace (Some o.o_trace) (fun () ->
-      let c = Option.get !(Domain.DLS.get ctx_key) in
-      c.c_stack <- [ o.o_id ];
-      f ())
-
 let recent () = with_lock (fun () -> List.of_seq (Queue.to_seq spans))
 let reset () = with_lock (fun () -> Queue.clear spans)

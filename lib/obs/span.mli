@@ -53,10 +53,6 @@ val child : opened option -> string -> opened option
 val finish : opened option -> unit
 (** Record the span as ending now; no-op on [None]. *)
 
-val enter : opened option -> (unit -> 'a) -> 'a
-(** Run [f] in the opened span's trace with the span as the parent of
-    every {!span} inside; just [f ()] on [None]. *)
-
 val now_s : unit -> float
 (** Wall-clock seconds, monotone-clamped through a global atomic so
     consecutive reads are strictly increasing even across domains. *)

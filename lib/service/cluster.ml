@@ -107,6 +107,7 @@ type dispatch = {
   mutable attempt : int;
   mutable last_error : string option;
   mutable backoff : Backoff.t option;  (* drawn on the first failure *)
+  mutable on_wire : bool;  (* awaiting a backend reply *)
   mutable answered : bool;
   route_span : Span.opened option;  (* cluster.route: arrival to answer *)
   mutable dispatch_span : Span.opened option;  (* cluster.dispatch: send to reply *)
@@ -126,22 +127,30 @@ and backend = {
 }
 
 (* The persistent, pipelined connection to one backend.  A backend
-   answers each connection in order, so replies match [inflight] FIFO. *)
+   answers each connection in order, so replies match [inflight] FIFO,
+   and only the head is being worked on: its clock starts when it
+   becomes the head, not when it was queued. *)
 and link = {
   fd : Unix.file_descr;
   rd : Netio.reader;
   wr : Netio.writer;
   inflight : entry Queue.t;
+  mutable head_since : float;
 }
 
-and entry = { waiting : waiting; expires : float }
+and entry = { mutable waiting : waiting; mutable timeout_s : float }
 
 and waiting =
   | Reply of dispatch  (* answered early (deadline): the reply is dropped *)
   | Probe
-  | Ignore  (* a forwarded shutdown *)
+  | Ignore  (* a forwarded shutdown, or a probe already counted as failed *)
 
-type transport = Rpc of rpc | Links
+(* backoff waits and deadlines, by due time; the int keeps keys unique *)
+module Timers = Map.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
 
 type t = {
   cfg : config;
@@ -150,9 +159,10 @@ type t = {
   order : backend list;  (* config order, for stats and probes *)
   now : unit -> float;
   sleep : float -> unit;
-  transport : transport;
+  rpc : rpc option;  (* each send completes inside the call *)
   validated : unit Cache.t;  (* keys whose parameters already validated *)
-  mutable timers : (float * dispatch) list;  (* backoff waits, by due time *)
+  mutable timers : dispatch Timers.t;
+  mutable timer_seq : int;
   mutable routed_total : int;
   mutable failover_total : int;
   mutable shed_total : int;
@@ -224,9 +234,10 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
     order;
     now;
     sleep;
-    transport = (match rpc with Some rpc -> Rpc rpc | None -> Links);
+    rpc;
     validated = Cache.create ~capacity:validated_capacity;
-    timers = [];
+    timers = Timers.empty;
+    timer_seq = 0;
     routed_total = 0;
     failover_total = 0;
     shed_total = 0;
@@ -343,21 +354,18 @@ let connect t b =
     | Error msg -> Error (Printf.sprintf "%s: %s" b.name msg)
     | Ok fd ->
       let l =
-        { fd; rd = Netio.reader fd; wr = Netio.writer fd; inflight = Queue.create () }
+        {
+          fd;
+          rd = Netio.reader fd;
+          wr = Netio.writer fd;
+          inflight = Queue.create ();
+          head_since = t.now ();
+        }
       in
       b.link <- Some l;
       Ok l)
 
-(* queue one request as its own batch; written by [flush_links] *)
-let send_on t b l waiting line ~timeout_s =
-  Netio.queue l.wr line;
-  Netio.queue l.wr "\n\n";
-  Queue.push { waiting; expires = t.now () +. timeout_s } l.inflight;
-  Obs.set b.obs_inflight (float_of_int (Queue.length l.inflight))
-
-let probe_ok t b =
-  Obs.inc obs_probe_ok;
-  record_success t b
+let set_inflight b l = Obs.set b.obs_inflight (float_of_int (Queue.length l.inflight))
 
 let probe_failed t =
   t.probe_failures <- t.probe_failures + 1;
@@ -402,11 +410,23 @@ let expire t d =
           (Option.value d.deadline_ms ~default:0)))
 
 let schedule t due d =
-  let rec insert = function
-    | ((due', _) as x) :: rest when due' <= due -> x :: insert rest
-    | rest -> (due, d) :: rest
-  in
-  t.timers <- insert t.timers
+  t.timer_seq <- t.timer_seq + 1;
+  t.timers <- Timers.add (due, t.timer_seq) d t.timers
+
+let off_wire d =
+  d.on_wire <- false;
+  Span.finish d.dispatch_span;
+  d.dispatch_span <- None
+
+(* A backend's reply to one sent entry. *)
+let replied t b waiting line =
+  record_success t b;
+  match waiting with
+  | Reply d ->
+    off_wire d;
+    if not d.answered then fill d line
+  | Probe -> Obs.inc obs_probe_ok
+  | Ignore -> ()
 
 let rec attempt t d =
   if d.attempt >= t.cfg.attempts then
@@ -423,38 +443,61 @@ let rec attempt t d =
         (degraded_response t d.id
            (Printf.sprintf "all %d backend breaker(s) open"
               (Array.length d.candidates)))
-    | Some b -> (
+    | Some b ->
       if d.attempt > 0 then begin
         t.failover_total <- t.failover_total + 1;
         Obs.inc obs_failover
       end;
       b.dispatched <- b.dispatched + 1;
       Obs.inc b.obs_dispatched;
-      let span = Span.child d.route_span "cluster.dispatch" in
-      match t.transport with
-      | Rpc rpc -> (
-        let timeout_s = Float.min t.cfg.request_timeout_s (remaining t d) in
-        let result = Span.enter span (fun () -> rpc ~path:b.name ~timeout_s d.line) in
-        Span.finish span;
-        match result with
-        | Ok response ->
-          record_success t b;
-          fill d response
-        | Error message ->
-          record_failure t b;
-          retry t d message)
-      | Links -> (
-        match connect t b with
-        | Ok l ->
-          d.dispatch_span <- span;
-          send_on t b l (Reply d) d.line ~timeout_s:t.cfg.request_timeout_s
-        | Error message ->
-          Span.finish span;
-          record_failure t b;
-          retry t d message))
+      d.dispatch_span <- Span.child d.route_span "cluster.dispatch";
+      send t b (Reply d) d.line
 
-(* pace the next attempt with this request's own backoff, but never
-   past its deadline *)
+(* The one send path.  With an injected [rpc] the reply or failure is
+   handled inside the call; otherwise the line is queued on the
+   backend's connection (written by [flush_links]) and its reply
+   matched FIFO by [read_link]. *)
+and send t b waiting line =
+  let timeout_s =
+    match waiting with Reply _ -> t.cfg.request_timeout_s | _ -> t.cfg.probe_timeout_s
+  in
+  match t.rpc with
+  | Some rpc -> (
+    let timeout_s =
+      match waiting with
+      | Reply d -> Float.min timeout_s (remaining t d)
+      | _ -> timeout_s
+    in
+    match rpc ~path:b.name ~timeout_s line with
+    | Ok reply -> replied t b waiting reply
+    | Error message -> failed t b [ waiting ] message)
+  | None -> (
+    match connect t b with
+    | Error message -> failed t b [ waiting ] message
+    | Ok l ->
+      Netio.queue l.wr line;
+      Netio.queue l.wr "\n\n";
+      if Queue.is_empty l.inflight then l.head_since <- t.now ();
+      Queue.push { waiting; timeout_s } l.inflight;
+      (match waiting with Reply d -> d.on_wire <- true | Probe | Ignore -> ());
+      set_inflight b l)
+
+(* Entries lost with their connection, or never sent: one transport
+   failure for the lot, and every unanswered request moves on. *)
+and failed t b waitings message =
+  if List.exists (function Ignore -> false | Reply _ | Probe -> true) waitings then
+    record_failure t b;
+  List.iter
+    (function
+      | Reply d ->
+        off_wire d;
+        if not d.answered then retry t d message
+      | Probe -> probe_failed t
+      | Ignore -> ())
+    waitings
+
+(* pace the next attempt with this request's own backoff; a deadline
+   falling first is its own timer *)
 and retry t d message =
   d.last_error <- Some message;
   d.attempt <- d.attempt + 1;
@@ -470,29 +513,24 @@ and retry t d message =
       b
   in
   let delay_s = Backoff.next backoff /. 1000. in
-  let remaining = remaining t d in
-  if remaining > 0. then schedule t (t.now () +. Float.min delay_s remaining) d
+  if remaining t d > 0. then schedule t (t.now () +. delay_s) d else attempt t d
+
+(* a due timer: a backoff wait ends, or a deadline passes *)
+let fire t d =
+  if d.answered then ()
+  else if d.on_wire then (if remaining t d <= 0. then expire t d)
   else attempt t d
 
 (* Close a backend connection and move everything in flight on it to its
-   next candidate.  Closing an idle connection (a backend that restarted
-   or drained) is not a failure. *)
+   next candidate.  Closing a connection with nothing awaited on it (a
+   backend that restarted or drained) is not a failure. *)
 let drop_link t b l reason =
   (try Unix.close l.fd with Unix.Unix_error _ -> ());
   b.link <- None;
   Obs.set b.obs_inflight 0.;
-  if not (Queue.is_empty l.inflight) then record_failure t b;
-  let message = Printf.sprintf "%s: %s" b.name reason in
-  Queue.iter
-    (fun e ->
-      match e.waiting with
-      | Reply d ->
-        Span.finish d.dispatch_span;
-        d.dispatch_span <- None;
-        if not d.answered then retry t d message
-      | Probe -> probe_failed t
-      | Ignore -> ())
-    l.inflight
+  failed t b
+    (List.of_seq (Seq.map (fun e -> e.waiting) (Queue.to_seq l.inflight)))
+    (Printf.sprintf "%s: %s" b.name reason)
 
 let flush_link t b l =
   match Netio.flush_some l.wr with
@@ -508,7 +546,8 @@ let flush_links t =
       | _ -> ())
     t.order
 
-(* one read, then every complete reply, matched FIFO *)
+(* one read, then every complete reply, matched FIFO; the next head's
+   clock starts as its predecessor's reply arrives *)
 let read_link t b l =
   match Netio.fill l.rd with
   | exception Unix.Unix_error (err, _, _) -> drop_link t b l (Unix.error_message err)
@@ -521,19 +560,13 @@ let read_link t b l =
       | Some line ->
         (match Queue.take_opt l.inflight with
         | None -> ()
-        | Some e -> (
-          record_success t b;
-          match e.waiting with
-          | Reply d ->
-            Span.finish d.dispatch_span;
-            d.dispatch_span <- None;
-            if not d.answered then fill d line
-          | Probe -> probe_ok t b
-          | Ignore -> ()));
+        | Some e ->
+          l.head_since <- t.now ();
+          replied t b e.waiting line);
         replies ()
     in
     replies ();
-    Obs.set b.obs_inflight (float_of_int (Queue.length l.inflight));
+    set_inflight b l;
     if got = `Eof then drop_link t b l "connection closed"
 
 (* - health probes - *)
@@ -541,20 +574,7 @@ let read_link t b l =
 let probe_backend t b =
   t.probe_total <- t.probe_total + 1;
   b.last_heard <- t.now ();
-  match
-    match t.transport with
-    | Rpc rpc ->
-      Result.map (fun _ -> probe_ok t b)
-        (rpc ~path:b.name ~timeout_s:t.cfg.probe_timeout_s ping_line)
-    | Links ->
-      Result.map
-        (fun l -> send_on t b l Probe ping_line ~timeout_s:t.cfg.probe_timeout_s)
-        (connect t b)
-  with
-  | Ok () -> ()
-  | Error _ ->
-    probe_failed t;
-    record_failure t b
+  send t b Probe ping_line
 
 (* a backend with requests in flight is heard from by their replies (or
    their timeout), so only a quiet one is pinged *)
@@ -567,66 +587,62 @@ let probe t =
 
 (* - timed work - *)
 
-let past_expiry l now = Queue.fold (fun acc e -> acc || e.expires <= now) false l.inflight
+let head_due l =
+  match Queue.peek_opt l.inflight with
+  | None -> infinity
+  | Some e -> l.head_since +. e.timeout_s
+
+(* Only a connection's head can be late.  A late request closes the
+   connection; a late probe only counts against the backend's health —
+   the requests behind it keep their connection, and its reply, when it
+   comes, is dropped. *)
+let expire_head t b l now =
+  (* a reply may be waiting unread: take it before giving up *)
+  read_link t b l;
+  match b.link with
+  | Some l' when l' == l && head_due l <= now -> (
+    let e = Queue.peek l.inflight in
+    match e.waiting with
+    | Probe ->
+      probe_failed t;
+      record_failure t b;
+      e.waiting <- Ignore;
+      e.timeout_s <- t.cfg.request_timeout_s
+    | Reply _ | Ignore -> drop_link t b l "response timed out")
+  | _ -> ()
 
 let tick t =
   let now = t.now () in
   List.iter
     (fun b ->
       match b.link with
-      | Some l when past_expiry l now -> (
-        (* a reply may be waiting unread: take it before giving up *)
-        read_link t b l;
-        match b.link with
-        | Some l' when l' == l && past_expiry l now ->
-          drop_link t b l "response timed out"
-        | _ -> ())
+      | Some l when head_due l <= now -> expire_head t b l now
       | _ -> ())
     t.order;
-  (* a request past its deadline is answered now; its late reply is
-     still read and dropped, keeping the connection's FIFO aligned *)
-  List.iter
-    (fun b ->
-      Option.iter
-        (fun l ->
-          Queue.iter
-            (fun e ->
-              match e.waiting with
-              | Reply ({ answered = false; deadline_abs = Some dl; _ } as d)
-                when dl <= now ->
-                expire t d
-              | _ -> ())
-            l.inflight)
-        b.link)
-    t.order;
   let rec run_due () =
-    match t.timers with
-    | (due, d) :: rest when due <= now ->
-      t.timers <- rest;
-      attempt t d;
+    match Timers.min_binding_opt t.timers with
+    | Some (((due, _) as key), d) when due <= now ->
+      t.timers <- Timers.remove key t.timers;
+      fire t d;
       run_due ()
     | _ -> ()
   in
   run_due ();
   probe t;
   flush_links t;
-  let next = ref (match t.timers with (due, _) :: _ -> due | [] -> infinity) in
-  let soon x = if x < !next then next := x in
-  List.iter
-    (fun b ->
-      (match b.link with
-      | None -> ()
-      | Some l ->
-        Queue.iter
-          (fun e ->
-            soon e.expires;
-            match e.waiting with
-            | Reply { answered = false; deadline_abs = Some dl; _ } -> soon dl
-            | _ -> ())
-          l.inflight);
-      if idle b then soon (b.last_heard +. t.cfg.health_period_s))
-    t.order;
-  Float.max 0. (!next -. t.now ())
+  let next =
+    List.fold_left
+      (fun next b ->
+        Float.min next
+          (match b.link with
+          | Some l when not (Queue.is_empty l.inflight) -> head_due l
+          | _ -> b.last_heard +. t.cfg.health_period_s))
+      (match Timers.min_binding_opt t.timers with
+      | Some ((due, _), _) -> due
+      | None -> infinity)
+      t.order
+  in
+  Float.max 0. (next -. t.now ())
 
 let watch t =
   List.fold_left
@@ -772,20 +788,7 @@ let submit t lines answer =
             (* queued behind whatever is in flight, which the backend
                answers first *)
             if t.cfg.forward_shutdown then
-              List.iter
-                (fun b ->
-                  match t.transport with
-                  | Rpc rpc ->
-                    ignore
-                      (rpc ~path:b.name ~timeout_s:t.cfg.probe_timeout_s
-                         shutdown_line)
-                  | Links -> (
-                    match connect t b with
-                    | Ok l ->
-                      send_on t b l Ignore shutdown_line
-                        ~timeout_s:t.cfg.probe_timeout_s
-                    | Error _ -> ()))
-                t.order;
+              List.iter (fun b -> send t b Ignore shutdown_line) t.order;
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
@@ -822,7 +825,7 @@ let submit t lines answer =
               else (raw_lines.(idx), None)
             in
             block.missing <- block.missing + 1;
-            attempt t
+            let d =
               {
                 block;
                 slot = idx;
@@ -840,11 +843,17 @@ let submit t lines answer =
                 attempt = 0;
                 last_error = None;
                 backoff = None;
+                on_wire = false;
                 answered = false;
                 route_span =
                   Span.with_trace trace (fun () -> Span.start "cluster.route");
                 dispatch_span = None;
               }
+            in
+            attempt t d;
+            Option.iter
+              (fun dl -> if not d.answered then schedule t dl d)
+              d.deadline_abs
         end)
     order;
   block.missing <- block.missing - 1;
@@ -864,14 +873,17 @@ let handle_batch t lines =
       (if !result = None then
          match watch t with
          | [], [] -> (
-           (* nothing on the wire: only a backoff wait is left *)
-           match t.timers with
-           | (due, d) :: rest ->
-             t.sleep (Float.max 0. (due -. t.now ()));
-             t.timers <- rest;
-             attempt t d;
-             flush_links t
-           | [] -> failwith "Cluster.handle_batch: batch cannot complete")
+           (* nothing on the wire: only timers are left; those of
+              requests already answered pass without a wait *)
+           match Timers.min_binding_opt t.timers with
+           | Some (((due, _) as key), d) ->
+             t.timers <- Timers.remove key t.timers;
+             if not d.answered then begin
+               t.sleep (Float.max 0. (due -. t.now ()));
+               fire t d;
+               flush_links t
+             end
+           | None -> failwith "Cluster.handle_batch: batch cannot complete")
          | reads, writes -> (
            match Unix.select reads writes [] wait with
            | r, w, _ -> ready t r w

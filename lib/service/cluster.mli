@@ -26,11 +26,14 @@
       timeout, torn connection) is retried against the next backend in
       ring-preference order, up to [attempts] total, after a
       decorrelated-jitter {!Etx_util.Backoff} delay drawn per request
-      and waited out as a timer of the serving loop.  When a backend
-      connection drops, or a request on it has waited
-      [request_timeout_s], the connection is closed, one transport
-      failure is counted, and every request in flight on it moves to
-      its next candidate.
+      and waited out as a timer of the serving loop.  Only the head of a
+      connection's FIFO is timed, from when it becomes the head, so a
+      request queued behind others is not late.  When a backend
+      connection drops, or its head has waited [request_timeout_s], the
+      connection is closed, one transport failure is counted, and every
+      request in flight on it moves to its next candidate.  A probe
+      unanswered after [probe_timeout_s] is a failed probe, but it does
+      not close the connection: the requests behind it stay.
     - {b circuit breaking}: consecutive transport failures trip a
       per-backend {!Breaker}; an open breaker refuses instantly instead
       of paying the timeout again, and a half-open probe re-admits the
@@ -40,7 +43,7 @@
       (round-robin, one per client per round); the rest get an explicit
       [degraded] error carrying [retry_after_ms] instead of hanging.
     - {b deadlines}: a request's [deadline_ms] bounds the whole routed
-      attempt (backoff waits are clipped to the remainder); expiry —
+      attempt (a deadline falling in a backoff wait ends it); expiry —
       before dispatch or while in flight — yields [deadline_exceeded],
       never a hang.  A late reply is read and dropped, so the
       connection stays aligned.
@@ -57,9 +60,11 @@ type config = {
   attempts : int;  (** total dispatch attempts per request; >= 1 *)
   connect_timeout_s : float;
   request_timeout_s : float;
-      (** longest a request may wait for its reply before its backend
-          connection is closed *)
-  probe_timeout_s : float;  (** health-check ping deadline *)
+      (** longest the request at the head of a backend connection may
+          wait for its reply before that connection is closed *)
+  probe_timeout_s : float;
+      (** health-check ping deadline, from when the ping heads its
+          connection; a late ping is a failed probe *)
   health_period_s : float;  (** quiet time before a backend is probed *)
   failure_threshold : int;  (** consecutive failures to mark Down / trip open *)
   breaker_cooldown_s : float;

@@ -146,8 +146,10 @@ let add_line c line =
   end
 
 (* Take lines until one batch is complete (blank line, or end of
-   stream), then hand it over: at most one batch per turn. *)
-let take_batch h c =
+   stream), then hand it over: at most one batch per turn.  Once
+   [stopping], nothing more is read, so a batch the buffer does not
+   complete never will be: it is dropped. *)
+let take_batch h c ~stopping =
   let rec go () =
     if c.reading then
       match Netio.take_line c.rd with
@@ -170,6 +172,10 @@ let take_batch h c =
             if c.partial <> [] then submit h c
           end
         end
+        else if stopping then begin
+          c.reading <- false;
+          c.partial <- []
+        end
   in
   go ()
 
@@ -188,13 +194,21 @@ let serve h ~listener conns =
   let rec turn () =
     let stopping = h.stopped () in
     if stopping then begin
-      if !drain_deadline = None then
-        drain_deadline := Some (Unix.gettimeofday () +. drain_timeout_s);
-      (* nothing new is read; accepted batches are still answered *)
+      (match !drain_deadline with
+      | None -> drain_deadline := Some (Unix.gettimeofday () +. drain_timeout_s)
+      | Some d when Unix.gettimeofday () > d ->
+        (* a peer that does not read its answers is cut off; batches the
+           handler still owes are not (it bounds them itself) *)
+        List.iter (fun c -> if Queue.is_empty c.replies then c.broken <- true) !conns
+      | Some _ -> ());
+      (* nothing new is read; complete batches already buffered are
+         still taken, one per turn, and answered *)
       List.iter
         (fun c ->
-          c.reading <- false;
-          c.partial <- [])
+          if not c.more then begin
+            c.reading <- false;
+            c.partial <- []
+          end)
         !conns
     end;
     conns :=
@@ -211,12 +225,7 @@ let serve h ~listener conns =
     let drained =
       (stopping || listener = None) && !conns = [] && extra_writes = []
     in
-    let timed_out =
-      match !drain_deadline with
-      | Some d -> Unix.gettimeofday () > d
-      | None -> false
-    in
-    if not (drained || timed_out) then begin
+    if not drained then begin
       let now = Unix.gettimeofday () in
       if h.metrics_file <> None && now -. !last_snapshot >= h.metrics_every_s then begin
         last_snapshot := now;
@@ -227,7 +236,8 @@ let serve h ~listener conns =
       in
       let reads =
         List.fold_left
-          (fun acc c -> if readable h c then c.fd_in :: acc else acc)
+          (fun acc c ->
+            if readable h c && not stopping then c.fd_in :: acc else acc)
           extra_reads !conns
       in
       let reads =
@@ -277,7 +287,7 @@ let serve h ~listener conns =
         (List.filter (fun fd -> List.mem fd w) extra_writes);
       List.iter
         (fun c ->
-          if c.more && readable h c && not (h.stopped ()) then take_batch h c)
+          if c.more && readable h c then take_batch h c ~stopping:(h.stopped ()))
         !conns;
       List.iter (fun c -> if List.mem c.fd_out w then flush c) !conns;
       turn ()

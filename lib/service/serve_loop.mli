@@ -24,9 +24,12 @@
       snapshot run on every turn, and no turn waits longer than a
       quarter second, whatever the clients do.
     - {b Drain.}  Once the handler reports [stopped], nothing new is read
-      or accepted; the loop returns when every accepted batch is
-      answered and written and the handler has nothing left to write
-      (bounded by a 10 s drain timeout).
+      or accepted, but the complete batches already in a connection's
+      read buffer are still taken (one per turn) and answered; an
+      unfinished trailing batch is dropped.  The loop returns when every
+      answer is written and the handler has nothing left to write.  A
+      batch the handler still owes is never cut short; a peer that does
+      not read its answers is cut off 10 s into the drain.
 
     Reads and writes go through {!Netio}, so the [net.read] /
     [net.write] / [net.accept] failpoints cover them; a failure costs

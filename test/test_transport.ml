@@ -1,8 +1,9 @@
 (* The serving loop and the router's pipelined backend connections,
    against real daemons over real sockets: idle peers, oversize input,
-   injected socket failures, a backend killed with requests in flight,
-   responses kept in send order across backends, and deadlines expiring
-   in flight.  Each test spawns its own `etx serve` / `etx route`
+   injected socket failures, a SIGTERM drain, a backend killed with
+   requests in flight, responses kept in send order across backends,
+   deadlines expiring in flight, a pipeline outlasting the request
+   timeout, and a probe stuck behind another client's work.  Each test spawns its own `etx serve` / `etx route`
    processes and reaps them. *)
 
 module Json = Etx_util.Json
@@ -245,6 +246,34 @@ let test_short_and_interrupted_transfers_are_absorbed () =
       | _ -> Alcotest.fail "two responses expected")
     [ "net.read=short:3!"; "net.write=short:5!"; "net.read=eintr"; "net.write=eintr" ]
 
+let test_sigterm_answers_buffered_batches () =
+  let dir = scratch () in
+  let socket = Filename.concat dir "s.sock" in
+  with_daemon (serve socket) ~socket @@ fun pid ->
+  let lines =
+    Printf.sprintf {|{"id":"slow","scenario":"fig7","params":{"sizes":[8],"seeds":[1,2,3,4,5,6,7,8]}}|}
+    :: List.init 4 (fun i ->
+           sim_line ~id:(Printf.sprintf "f%d" i)
+             (Printf.sprintf {|"mesh_size":4,"seed":%d|} (i + 1)))
+  in
+  let fd = connect socket in
+  Fun.protect ~finally:(fun () -> close fd) @@ fun () ->
+  (* five batches in one write: the daemon reads them at once, then
+     computes the first while the stop arrives *)
+  send fd (String.concat "" (List.map (fun line -> line ^ "\n\n") lines));
+  Unix.sleepf 0.15;
+  Unix.kill pid Sys.sigterm;
+  let r = Netio.reader fd in
+  let responses = List.map (fun _ -> read_line ~timeout_s:30. r) lines in
+  Alcotest.(check (list string)) "every buffered batch answered, in order"
+    ("slow" :: List.init 4 (Printf.sprintf "f%d"))
+    (List.map (str "id") responses);
+  List.iter (fun line -> Alcotest.(check string) "ok" "ok" (str "status" line)) responses;
+  match wait_exit ~timeout_s:10. pid with
+  | Some (Unix.WEXITED 0) -> ()
+  | Some _ -> Alcotest.fail "serve exited uncleanly on SIGTERM"
+  | None -> Alcotest.fail "serve did not exit after answering"
+
 (* - the router over real backends - *)
 
 let slow_line ?deadline_ms ~id seeds =
@@ -282,6 +311,21 @@ let slow_for ?deadline_ms backends backend ~id =
     if owner backends line = backend then line else go (first + 1)
   in
   go 1
+
+(* [n] distinct slow requests owned by [backend], ids "<prefix>i", each
+   [seeds] fig7 runs on an 8x8 mesh *)
+let slow_lines ?(seeds = 8) backends backend ~prefix n =
+  let rec go first acc =
+    if List.length acc = n then List.rev acc
+    else
+      let line =
+        slow_line ~id:(Printf.sprintf "%s%d" prefix (List.length acc))
+          (List.init seeds (fun i -> first + i))
+      in
+      if owner backends line = backend then go (first + seeds) (line :: acc)
+      else go (first + 1) acc
+  in
+  go 1 []
 
 (* two backends and a router over them; [f router backends pids] *)
 let with_cluster ?(route_extra = []) f =
@@ -357,6 +401,52 @@ let test_responses_keep_send_order () =
     (fun line -> Alcotest.(check string) "ok" "ok" (str "status" line))
     responses
 
+(* A request's timeout runs while it is being answered, not while it
+   waits behind others on the same backend connection. *)
+let test_pipelined_queue_outlasts_the_request_timeout () =
+  let seeds = 4 in
+  let t0 = now () in
+  ignore (reference [ slow_line ~id:"t" (List.init seeds (fun i -> 1001 + i)) ]);
+  let timeout = Float.max 0.5 (2.5 *. (now () -. t0)) in
+  with_cluster ~route_extra:[ "--request-timeout"; Printf.sprintf "%.3f" timeout ]
+  @@ fun ~router ~backends ~pids:_ ->
+  let lines = slow_lines ~seeds backends (List.hd backends) ~prefix:"s" 8 in
+  let t0 = now () in
+  let responses = pipeline router lines in
+  Alcotest.(check bool) "the queue outlasted one request timeout" true
+    (now () -. t0 > timeout);
+  Alcotest.(check (list string)) "ids in send order"
+    (List.init 8 (Printf.sprintf "s%d"))
+    (List.map (str "id") responses);
+  List.iter (fun line -> Alcotest.(check string) "ok" "ok" (str "status" line)) responses;
+  Alcotest.(check int) "no failover" 0 (router_stat router "failover_total")
+
+(* A probe stuck behind another client's long batch counts against the
+   backend's health, but the requests queued behind it on the router's
+   connection keep that connection. *)
+let test_late_probe_keeps_requests_behind_it () =
+  with_cluster ~route_extra:[ "--health-period"; "0.1" ]
+  @@ fun ~router ~backends ~pids:_ ->
+  let a = List.hd backends in
+  (* keep [a] computing for a direct client well past the 1 s probe
+     timeout *)
+  let busy = slow_lines backends a ~prefix:"busy" 4 in
+  let direct = connect a in
+  Fun.protect ~finally:(fun () -> close direct) @@ fun () ->
+  send direct (String.concat "\n" busy ^ "\n\n");
+  (* the router's next probe of [a] now waits behind that batch *)
+  Unix.sleepf 0.3;
+  let fast = fast_lines backends a ~prefix:"f" 2 in
+  let responses = pipeline router fast in
+  Alcotest.(check (list string)) "answered in order" [ "f0"; "f1" ]
+    (List.map (str "id") responses);
+  List.iter (fun line -> Alcotest.(check string) "ok" "ok" (str "status" line)) responses;
+  Alcotest.(check bool) "the probe timed out" true
+    (router_stat router "probe_failures" >= 1);
+  Alcotest.(check int) "no failover" 0 (router_stat router "failover_total");
+  let r = Netio.reader direct in
+  List.iter (fun _ -> ignore (read_line ~timeout_s:30. r)) busy
+
 let test_deadline_in_flight_keeps_fifo () =
   with_cluster @@ fun ~router ~backends ~pids:_ ->
   let a = List.hd backends in
@@ -393,6 +483,8 @@ let () =
             test_socket_failpoints_cost_one_connection;
           Alcotest.test_case "short and interrupted transfers are absorbed"
             `Quick test_short_and_interrupted_transfers_are_absorbed;
+          Alcotest.test_case "SIGTERM answers buffered batches" `Quick
+            test_sigterm_answers_buffered_batches;
         ] );
       ( "pipelined-router",
         [
@@ -404,5 +496,9 @@ let () =
             test_responses_keep_send_order;
           Alcotest.test_case "deadline in flight keeps the FIFO aligned" `Quick
             test_deadline_in_flight_keeps_fifo;
+          Alcotest.test_case "pipelined queue outlasts the request timeout"
+            `Quick test_pipelined_queue_outlasts_the_request_timeout;
+          Alcotest.test_case "late probe keeps the requests behind it" `Quick
+            test_late_probe_keeps_requests_behind_it;
         ] );
     ]
