@@ -120,46 +120,6 @@ let maximin_incremental_kernel =
       (Etx_routing.Maximin.compute_incremental ~workspace ~graph ~mapping ~module_count:3
          ~delta snapshot)
 
-(* the event-driven frame engine on an idle platform: an 8x8 Ideal-cell
-   mesh with near-infinite batteries where the single in-flight job
-   computes a billion-cycle act, so every control frame for the whole
-   benchmark is quiet.  One long-lived engine advances a ~1007-frame
-   window per run (windows keep moving forward, so every run does real
-   frame work); it is primed past frame 0 at setup so the shared full
-   recompute and the job injection stay out of the measurement, and
-   rebuilt in the unlikely event the platform dies.  The [-stepped]
-   twin traverses the exact same (bit-identical) windows with the fast
-   path off; the pair's ratio is the advertised speedup. *)
-let idle_mesh_config ~event_driven =
-  let config =
-    Etextile.Calibration.config ~battery_kind:Etx_battery.Battery.Ideal ~event_driven
-      ~mesh_size:8 ~seed:1 ()
-  in
-  {
-    config with
-    Etx_etsim.Config.battery_capacity_pj = 1e9;
-    computation_cycles = [| 1_000_000_000; 1_000_000_000; 1_000_000_000 |];
-    max_cycles = 1_000_000_000_000;
-  }
-
-let idle_mesh_kernel ~event_driven =
-  let window = 805_600 (* 1007 frame periods *) in
-  let prime () =
-    let engine = Etx_etsim.Engine.create (idle_mesh_config ~event_driven) in
-    (match Etx_etsim.Engine.run_until engine ~cycle:2_400 with
-    | Etx_etsim.Engine.Paused -> ()
-    | Etx_etsim.Engine.Finished _ -> failwith "idle-mesh bench died while priming");
-    engine
-  in
-  let engine = ref (prime ()) in
-  let stop = ref (2_400 + window) in
-  fun () ->
-    match Etx_etsim.Engine.run_until !engine ~cycle:!stop with
-    | Etx_etsim.Engine.Paused -> stop := !stop + window
-    | Etx_etsim.Engine.Finished _ ->
-      engine := prime ();
-      stop := 2_400 + window
-
 (* the hardened frame loop under a lossy fault environment: per-packet
    CRC draws, retransmissions, and upload loss on an 8x8 fabric *)
 let fault_frame_kernel =
@@ -213,6 +173,11 @@ let service_roundtrip_kernel =
   in
   let line = {|{"scenario":"simulate","params":{"mesh_size":4},"id":0}|} in
   ignore (Etx_service.Server.handle_batch server [ line ]);
+  (* a hit never reaches the worker pool, so it is shut down once the
+     cache is primed: its idle domain would otherwise join every
+     stop-the-world collection of every kernel measured in this process
+     (a hit that did compute would now raise) *)
+  Etx_service.Server.shutdown server;
   fun () -> ignore (Etx_service.Server.handle_batch server [ line ])
 
 (* durable-store read path: open, length-check and CRC-verify one entry
@@ -256,6 +221,8 @@ let cluster_roundtrip_kernel =
   in
   let line = {|{"scenario":"simulate","params":{"mesh_size":4},"id":0}|} in
   ignore (Etx_service.Cluster.handle_batch cluster [ line ]);
+  (* as in kernel/service-roundtrip-hit: no idle worker domain *)
+  Etx_service.Server.shutdown backend;
   fun () -> ignore (Etx_service.Cluster.handle_batch cluster [ line ])
 
 let analysis_kernel =
@@ -291,8 +258,6 @@ let entries =
     ("kernel/service-roundtrip-hit", service_roundtrip_kernel);
     ("kernel/cluster-roundtrip-hit", cluster_roundtrip_kernel);
     ("kernel/store-read", store_read_kernel);
-    ("kernel/idle-mesh-1k-frames-stepped", idle_mesh_kernel ~event_driven:false);
-    ("kernel/idle-mesh-1k-frames", idle_mesh_kernel ~event_driven:true);
   ]
 
 let tests_of entries =

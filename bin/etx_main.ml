@@ -338,25 +338,8 @@ let simulate_cmd =
     let doc = "Run the invariant auditor every control frame and report violations." in
     Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let event_driven_arg =
-    let doc =
-      "Advance directly across quiet control frames with the event wheel instead of \
-       stepping every frame.  Results are bit-identical; idle stretches run much \
-       faster."
-    in
-    Arg.(value & flag & info [ "event-driven" ] ~doc)
-  in
-  let incremental_routing_arg =
-    let doc =
-      "Repair routing tables from the per-frame change-set instead of recomputing \
-       from scratch (falls back to the full kernel past a damage threshold).  \
-       Results are bit-identical."
-    in
-    Arg.(value & flag & info [ "incremental-routing" ] ~doc)
-  in
   let run size policy battery seed controllers jobs trace workload_kind fail_links
-      timeline_file heatmap fault retries checkpoint_every checkpoint_file resume audit
-      event_driven incremental_routing =
+      timeline_file heatmap fault retries checkpoint_every checkpoint_file resume audit =
     let policy =
       match String.lowercase_ascii policy with
       | "ear" -> Ok (Etx_routing.Policy.ear ())
@@ -417,8 +400,7 @@ let simulate_cmd =
         in
         Etextile.Calibration.config ~policy ~battery_kind ~controllers ~seed
           ~concurrent_jobs:jobs ?workloads:workload ~link_failure_schedule ?fault
-          ~max_retransmissions:retries ~incremental_routing ~event_driven
-          ~mesh_size:size ()
+          ~max_retransmissions:retries ~mesh_size:size ()
       with
       | exception Invalid_argument message -> `Error (false, message)
       | config ->
@@ -502,8 +484,7 @@ let simulate_cmd =
         (const run $ size_arg $ policy_arg $ battery_arg $ seed_arg $ controllers_arg
        $ jobs_arg $ trace_arg $ workload_arg $ fail_links_arg $ timeline_arg
        $ heatmap_arg $ fault_args $ retries_arg $ checkpoint_every_arg
-       $ checkpoint_file_arg $ resume_arg $ audit_arg $ event_driven_arg
-       $ incremental_routing_arg))
+       $ checkpoint_file_arg $ resume_arg $ audit_arg))
   in
   Cmd.v
     (cmd_info "simulate" ~doc:"Run one simulation with custom knobs and print metrics.")
@@ -808,10 +789,6 @@ let serve_cmd =
     let doc = "Result cache entries (LRU beyond this; 0 disables caching)." in
     Arg.(value & opt int 128 & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
-  let latency_window_arg =
-    let doc = "Recent samples kept per scenario for the latency percentiles." in
-    Arg.(value & opt int 512 & info [ "latency-window" ] ~docv:"N" ~doc)
-  in
   let store_arg =
     let doc =
       "Durable result store directory beneath the in-memory LRU: computed \
@@ -831,14 +808,13 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
   in
-  let run stdio socket queue_depth cache_capacity jobs latency_window store_dir
-      failpoints metrics_file metrics_every =
+  let run stdio socket queue_depth cache_capacity jobs store_dir failpoints
+      metrics_file metrics_every =
     let cfg =
       {
         Etx_service.Server.queue_depth;
         cache_capacity;
         domains = jobs;
-        latency_window;
         store_dir;
         metrics_file;
         metrics_every_s = metrics_every;
@@ -880,7 +856,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ stdio_arg $ socket_arg $ queue_depth_arg $ cache_capacity_arg
-       $ jobs_arg $ latency_window_arg $ store_arg $ failpoints_arg
+       $ jobs_arg $ store_arg $ failpoints_arg
        $ metrics_file_arg $ metrics_every_arg))
   in
   Cmd.v
@@ -1116,22 +1092,26 @@ let health_period_arg =
   in
   Arg.(value & opt float 2. & info [ "health-period" ] ~docv:"SECONDS" ~doc)
 
-let run_router cfg stdio socket =
+(* Build the router from [cfg], then call [k] with it; a config the
+   router rejects becomes a CLI error before [k] runs. *)
+let with_router cfg k =
   match Etx_service.Cluster.create cfg with
   | exception Invalid_argument message -> `Error (false, message)
-  | cluster ->
-    (* backend or client sockets closing mid-write must stay a
-       per-connection error, never a daemon-killing SIGPIPE *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ());
-    (try
-       Sys.set_signal Sys.sigterm
-         (Sys.Signal_handle (fun _ -> Etx_service.Cluster.request_stop cluster))
-     with Invalid_argument _ -> ());
-    Etx_service.Serve_loop.run
-      ?socket_path:(if stdio then None else Some socket)
-      (Etx_service.Cluster.handler cluster);
-    `Ok ()
+  | cluster -> k cluster
+
+let run_router cluster stdio socket =
+  (* backend or client sockets closing mid-write must stay a
+     per-connection error, never a daemon-killing SIGPIPE *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  (try
+     Sys.set_signal Sys.sigterm
+       (Sys.Signal_handle (fun _ -> Etx_service.Cluster.request_stop cluster))
+   with Invalid_argument _ -> ());
+  Etx_service.Serve_loop.run
+    ?socket_path:(if stdio then None else Some socket)
+    (Etx_service.Cluster.handler cluster);
+  `Ok ()
 
 let route_cmd =
   let backends_arg =
@@ -1158,7 +1138,7 @@ let route_cmd =
           metrics_every_s = metrics_every;
         }
       in
-      run_router cfg stdio socket
+      with_router cfg (fun cluster -> run_router cluster stdio socket)
     end
   in
   let term =
@@ -1203,10 +1183,27 @@ let cluster_cmd =
     if backends < 1 then `Error (true, "--backends must be at least 1")
     else begin
       Etx_obs.Obs.arm ();
+      let sock i = Filename.concat dir (Printf.sprintf "backend%d.sock" i) in
+      let cfg =
+        {
+          (Etx_service.Cluster.default_config ~backends:(List.init backends sock)) with
+          attempts;
+          request_timeout_s = request_timeout;
+          health_period_s = health_period;
+          queue_depth;
+          (* supervised: shutdown drains via the supervisor instead of
+             forwarding a kill the supervisor would just undo *)
+          forward_shutdown = not supervise;
+          metrics_file;
+          metrics_every_s = metrics_every;
+        }
+      in
+      (* the router is built before any backend is spawned, so a bad
+         setting fails at once *)
+      with_router cfg @@ fun cluster ->
       (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       let exe = Sys.executable_name in
       let store = Filename.concat dir "store" in
-      let sock i = Filename.concat dir (Printf.sprintf "backend%d.sock" i) in
       let spawn_backend i =
         let logfile = Filename.concat dir (Printf.sprintf "backend%d.log" i) in
         (* a dead backend's stale socket would make the fresh one fail
@@ -1249,24 +1246,7 @@ let cluster_cmd =
             (Printf.sprintf "%d backend(s) never became ready (see logs in %s)"
                (List.length stragglers) dir)
       in
-      let router () =
-        let cfg =
-          {
-            (Etx_service.Cluster.default_config ~backends:(List.init backends sock))
-            with
-            attempts;
-            request_timeout_s = request_timeout;
-            health_period_s = health_period;
-            queue_depth;
-            (* supervised: shutdown drains via the supervisor instead of
-               forwarding a kill the supervisor would just undo *)
-            forward_shutdown = not supervise;
-            metrics_file;
-            metrics_every_s = metrics_every;
-          }
-        in
-        run_router cfg stdio socket
-      in
+      let router () = run_router cluster stdio socket in
       if supervise then begin
         let sup =
           Etx_service.Supervisor.create

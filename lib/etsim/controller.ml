@@ -139,31 +139,20 @@ let on_frame t ~cycle ~elapsed_cycles ~snapshot =
       if not (bank_draw t ~energy:dynamic) then Exhausted
       else begin
         let graph = t.config.topology.Etx_graph.Topology.graph in
-        let incremental = t.config.Config.incremental_routing in
         let table =
           match t.config.policy.Etx_routing.Policy.algorithm with
           | Etx_routing.Policy.Weighted weight ->
-            if incremental then
-              Router.compute_incremental ~workspace:t.workspace ~graph
-                ~mapping:t.config.mapping ~module_count:t.config.module_count ~weight
-                ~delta snapshot
-            else
-              Router.compute ~workspace:t.workspace ~graph ~mapping:t.config.mapping
-                ~module_count:t.config.module_count ~weight snapshot
+            Router.compute_incremental ~workspace:t.workspace ~graph
+              ~mapping:t.config.mapping ~module_count:t.config.module_count ~weight ~delta
+              snapshot
           | Etx_routing.Policy.Maximin_residual ->
-            if incremental then
-              Etx_routing.Maximin.compute_incremental ~workspace:t.maximin_workspace
-                ~graph ~mapping:t.config.mapping ~module_count:t.config.module_count
-                ~delta snapshot
-            else
-              Etx_routing.Maximin.compute ~workspace:t.maximin_workspace ~graph
-                ~mapping:t.config.mapping ~module_count:t.config.module_count snapshot
+            Etx_routing.Maximin.compute_incremental ~workspace:t.maximin_workspace ~graph
+              ~mapping:t.config.mapping ~module_count:t.config.module_count ~delta snapshot
         in
         t.recomputations <- t.recomputations + 1;
         Obs.inc
-          (if incremental && not delta.Router.Delta.full then
-             obs_recompute_incremental
-           else obs_recompute_full);
+          (if delta.Router.Delta.full then obs_recompute_full
+           else obs_recompute_incremental);
         let changed =
           match t.table with
           | Some old -> Routing_table.diff_count old table
@@ -186,31 +175,6 @@ let recomputations t = t.recomputations
 let download_energy_pj t = t.download_energy
 let compute_energy_pj t = t.compute_energy
 let deaths t = t.deaths
-let last_snapshot t = t.previous_snapshot
-
-let bank_infinite t = match t.bank with Infinite -> true | Finite _ -> false
-
-(* The event-driven engine's ledger for a stretch of frames it proved
-   quiet (snapshot unchanged, so [on_frame] would have returned
-   [No_change] on each): the per-frame leakage accrual, replayed with
-   the same one-add-per-frame float arithmetic.  Only the infinite bank
-   qualifies - a finite bank ticks and draws real batteries per frame,
-   which the fast-forward must not skip. *)
-let absorb_quiet_frames t ~elapsed_cycles ~count =
-  (match t.bank with
-  | Infinite -> ()
-  | Finite _ -> invalid_arg "Controller.absorb_quiet_frames: finite controller bank");
-  let leakage = t.leakage_per_cycle *. float_of_int elapsed_cycles in
-  (* accumulate in an unboxed float array cell: storing into the mutable
-     record field each iteration would box a fresh float per frame.  The
-     addition sequence is unchanged, so the result stays bit-identical
-     with the stepped path. *)
-  let acc = [| t.compute_energy |] in
-  for _ = 1 to count do
-    acc.(0) <- acc.(0) +. leakage
-  done;
-  t.compute_energy <- acc.(0)
-
 let survivors t =
   match t.bank with
   | Infinite -> 1

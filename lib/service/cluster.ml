@@ -193,6 +193,8 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
   then invalid_arg "Cluster.create: timeouts must be positive";
   if not (cfg.backoff_base_ms > 0. && cfg.backoff_base_ms <= cfg.backoff_cap_ms)
   then invalid_arg "Cluster.create: need 0 < backoff_base_ms <= backoff_cap_ms";
+  if not (cfg.metrics_every_s > 0.) then
+    invalid_arg "Cluster.create: metrics_every_s must be > 0";
   let table = Hashtbl.create 8 in
   let order =
     List.map

@@ -81,8 +81,8 @@ type config = {
       (** when set, the serving loop periodically commits an
           [Etx_obs.Expo] JSON snapshot to this path (atomic), plus a
           final one as it exits. *)
-  metrics_every_s : float;  (** snapshot pacing; only read when
-          [metrics_file] is set *)
+  metrics_every_s : float;  (** snapshot pacing in seconds; must be
+          > 0, only read when [metrics_file] is set *)
 }
 
 val default_config : backends:string list -> config
@@ -109,7 +109,8 @@ val create :
     out a backoff while nothing is on the wire; the serving loop never
     sleeps.
     @raise Invalid_argument on an empty backend list, duplicate
-    backends, or non-positive numeric settings. *)
+    backends, or non-positive numeric settings ([metrics_every_s] NaN
+    included). *)
 
 val handle_batch : t -> string list -> string list
 (** Route one batch (same protocol as {!Server.handle_batch}): control

@@ -9,7 +9,6 @@ type config = {
   queue_depth : int;
   cache_capacity : int;
   domains : int;
-  latency_window : int;
   store_dir : string option;
   metrics_file : string option;
   metrics_every_s : float;
@@ -20,7 +19,6 @@ let default_config =
     queue_depth = 64;
     cache_capacity = 128;
     domains = 1;
-    latency_window = 512;
     store_dir = None;
     metrics_file = None;
     metrics_every_s = 5.;
@@ -69,6 +67,8 @@ let obs_queue_depth =
 (* Per-scenario latency: an all-time Welford summary plus a bounded ring
    of recent samples for percentiles, so a server up for weeks still
    reports the current tail, not its whole history averaged flat. *)
+let latency_window = 512
+
 type latency = {
   summary : Stats.t;
   window : float array;
@@ -96,8 +96,8 @@ let create ?(now = Unix.gettimeofday) cfg =
   if cfg.cache_capacity < 0 then
     invalid_arg "Server.create: cache_capacity must be >= 0";
   if cfg.domains < 1 then invalid_arg "Server.create: domains must be >= 1";
-  if cfg.latency_window < 1 then
-    invalid_arg "Server.create: latency_window must be >= 1";
+  if not (cfg.metrics_every_s > 0.) then
+    invalid_arg "Server.create: metrics_every_s must be > 0";
   (* open the durable store before the pool so a bad --store path fails
      fast without leaking worker domains *)
   let store = Option.map Store.open_dir cfg.store_dir in
@@ -128,7 +128,7 @@ let record_latency t name ms =
       let l =
         {
           summary = Stats.create ();
-          window = Array.make t.cfg.latency_window 0.;
+          window = Array.make latency_window 0.;
           filled = 0;
           next = 0;
         }

@@ -33,7 +33,6 @@ type config = {
   queue_depth : int;  (** admission bound per batch; at least 1 *)
   cache_capacity : int;  (** LRU entries; 0 disables caching *)
   domains : int;  (** worker domains of the shared pool *)
-  latency_window : int;  (** recent samples kept per scenario for percentiles *)
   store_dir : string option;
       (** durable {!Store} directory beneath the LRU: misses consult it
           before computing ([cache:"store"] in the response) and
@@ -45,14 +44,15 @@ type config = {
           [Etx_obs.Expo] JSON snapshot to this path (atomic temp +
           fsync + rename), plus a final one as it exits — the
           post-mortem record for chaos runs.  [None] disables it. *)
-  metrics_every_s : float;  (** snapshot pacing; only read when
-          [metrics_file] is set *)
+  metrics_every_s : float;  (** snapshot pacing in seconds; must be
+          > 0, only read when [metrics_file] is set *)
 }
 
 val default_config : config
-(** queue depth 64, cache capacity 128, one worker domain, 512-sample
-    latency windows, no durable store, no metrics file (5 s pacing when
-    one is configured). *)
+(** queue depth 64, cache capacity 128, one worker domain, no durable
+    store, no metrics file (5 s pacing when one is configured).  The
+    [stats] percentiles always cover each scenario's latest 512
+    requests. *)
 
 type t
 
@@ -61,8 +61,9 @@ val create : ?now:(unit -> float) -> config -> t
     the worker pool.  [now] injects the clock used for latency
     measurement and deadline accounting (seconds; defaults to
     [Unix.gettimeofday]) so tests can be deterministic.
-    @raise Invalid_argument on non-positive [queue_depth],
-    [latency_window] or [domains], or negative [cache_capacity].
+    @raise Invalid_argument on non-positive [queue_depth] or [domains],
+    negative [cache_capacity], or [metrics_every_s] not [> 0] (NaN
+    included).
     @raise Sys_error if [store_dir] cannot be created. *)
 
 val handle_batch : t -> string list -> string list

@@ -291,7 +291,6 @@ let test_server_sheds_expired_deadlines () =
         Server.default_config with
         Server.queue_depth = 8;
         cache_capacity = 16;
-        latency_window = 32;
       }
   in
   Fun.protect
@@ -322,7 +321,6 @@ let test_server_store_tier () =
       Server.default_config with
       Server.queue_depth = 8;
       cache_capacity = 16;
-      latency_window = 32;
       store_dir;
     }
   in
@@ -598,7 +596,16 @@ let test_cluster_rejects_bad_config () =
     {
       (Cluster.default_config ~backends:[ "a.sock" ]) with
       Cluster.request_timeout_s = 0.;
-    }
+    };
+  List.iter
+    (fun every ->
+      check
+        (Printf.sprintf "metrics pacing %g" every)
+        {
+          (Cluster.default_config ~backends:[ "a.sock" ]) with
+          Cluster.metrics_every_s = every;
+        })
+    [ 0.; -1.; Float.nan ]
 
 (* - edges: empty ring, single-backend failover, breaker relapse - *)
 

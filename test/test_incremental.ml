@@ -1,8 +1,7 @@
-(* The bit-identical fast paths: delta-driven routing repair
-   (Router.Delta / compute_incremental) and the event-driven frame
-   engine (Event_wheel / quiet-frame fast-forward).  Everything here
-   guards one contract: with the flags on, the results are the same
-   bits - same routing tables, same metrics, same checkpoints. *)
+(* Delta-driven routing repair (Router.Delta / compute_incremental),
+   the engine's only recompute path.  Everything here guards one
+   contract: repair yields the same bits as the full kernels - same
+   routing tables, same metrics, same checkpoints. *)
 
 module Router = Etx_routing.Router
 module Maximin = Etx_routing.Maximin
@@ -15,7 +14,6 @@ module Battery = Etx_battery.Battery
 module Engine = Etx_etsim.Engine
 module Config = Etx_etsim.Config
 module Metrics = Etx_etsim.Metrics
-module Event_wheel = Etx_etsim.Event_wheel
 module Calibration = Etextile.Calibration
 module Prng = Etx_util.Prng
 
@@ -263,179 +261,104 @@ let prop_incremental_equals_full =
   QCheck.Test.make ~name:"incremental: delta repair equals full recompute" ~count:200
     repair_scenario_arbitrary run_repair_scenario
 
-(* - the event wheel - *)
+(* - engine golden digests: the frame engine, which repairs tables from
+   each frame's delta, must reproduce metrics recorded when every frame
+   recomputed from scratch - *)
 
-let test_wheel_orders_and_pops () =
-  let w = Event_wheel.create () in
-  Alcotest.(check (option int)) "empty" None (Event_wheel.next_due w);
-  Alcotest.(check int) "length 0" 0 (Event_wheel.length w);
-  Event_wheel.schedule w ~cycle:500 ~tag:1;
-  Event_wheel.schedule w ~cycle:100 ~tag:2;
-  Event_wheel.schedule w ~cycle:500 ~tag:3;
-  Alcotest.(check (option int)) "earliest" (Some 100) (Event_wheel.next_due w);
-  Alcotest.(check int) "length 3" 3 (Event_wheel.length w);
-  let pop () = Event_wheel.pop w in
-  Alcotest.(check (option (pair int int))) "min first" (Some (100, 2)) (pop ());
-  (* same cycle: FIFO by insertion order *)
-  Alcotest.(check (option (pair int int))) "tie FIFO 1" (Some (500, 1)) (pop ());
-  Alcotest.(check (option (pair int int))) "tie FIFO 2" (Some (500, 3)) (pop ());
-  Alcotest.(check (option (pair int int))) "drained" None (pop ())
+let digest m = Digest.to_hex (Digest.string (Etx_util.Json.to_string (Metrics.to_json m)))
 
-let test_wheel_drop_until_and_clear () =
-  let w = Event_wheel.create () in
-  List.iter (fun c -> Event_wheel.schedule w ~cycle:c ~tag:c) [ 300; 100; 400; 200; 500 ];
-  Event_wheel.drop_until w ~cycle:300;
-  Alcotest.(check (option int)) "300 and earlier gone" (Some 400) (Event_wheel.next_due w);
-  Alcotest.(check int) "two left" 2 (Event_wheel.length w);
-  Event_wheel.clear w;
-  Alcotest.(check (option int)) "cleared" None (Event_wheel.next_due w);
-  Alcotest.(check int) "empty again" 0 (Event_wheel.length w)
-
-let prop_wheel_drains_sorted_stable =
-  QCheck.Test.make ~name:"event wheel: drains sorted, FIFO within a cycle" ~count:200
-    QCheck.(small_list (int_range 0 50))
-    (fun cycles ->
-      let w = Event_wheel.create () in
-      List.iteri (fun i c -> Event_wheel.schedule w ~cycle:c ~tag:i) cycles;
-      let rec drain acc =
-        match Event_wheel.pop w with
-        | None -> List.rev acc
-        | Some e -> drain (e :: acc)
-      in
-      drain []
-      = List.stable_sort
-          (fun (a, _) (b, _) -> compare a b)
-          (List.mapi (fun i c -> (c, i)) cycles))
-
-(* - engine equivalence: all four flag combinations produce the same
-   metrics - *)
-
-let check_modes ~name mk =
-  let base = Engine.simulate (mk ~incremental_routing:false ~event_driven:false) in
-  List.iter
-    (fun (ir, ed) ->
-      let m = Engine.simulate (mk ~incremental_routing:ir ~event_driven:ed) in
-      Alcotest.(check bool) (Printf.sprintf "%s ir=%b ed=%b" name ir ed) true (m = base))
-    [ (true, false); (false, true); (true, true) ]
+let check_golden ~name ~expected config =
+  Alcotest.(check string) name expected (digest (Engine.simulate config))
 
 let thin_film = Battery.Thin_film Battery.default_thin_film
 
-let test_modes_policies () =
+let test_golden_policies () =
   List.iter
-    (fun (name, policy) ->
-      check_modes ~name (fun ~incremental_routing ~event_driven ->
-          Calibration.config ~policy ~battery_kind:thin_film ~seed:3 ~incremental_routing
-            ~event_driven ~mesh_size:4 ()))
+    (fun (name, policy, expected) ->
+      check_golden ~name ~expected
+        (Calibration.config ~policy ~battery_kind:thin_film ~seed:3 ~mesh_size:4 ()))
     [
-      ("ear-4-thin", Calibration.ear ());
-      ("sdr-4-thin", Calibration.sdr ());
-      ("maximin-4-thin", Policy.maximin ());
-      ("ear2-4-thin", Policy.ear_squared ());
+      ("ear-4-thin", Calibration.ear (), "1f89cdceace4a59041df8c26c4f7524d");
+      ("sdr-4-thin", Calibration.sdr (), "64658a76c6b9d5febaa9eeb03c41ab85");
+      ("maximin-4-thin", Policy.maximin (), "5eb37fed7504fd3916150939421888f0");
+      ("ear2-4-thin", Policy.ear_squared (), "7ab683000344ed7d1b68e92479e98962");
     ]
 
-let test_modes_ideal () =
-  check_modes ~name:"ear-4-ideal" (fun ~incremental_routing ~event_driven ->
-      Calibration.config ~battery_kind:Battery.Ideal ~seed:7 ~incremental_routing
-        ~event_driven ~mesh_size:4 ())
+let test_golden_ideal () =
+  check_golden ~name:"ear-4-ideal" ~expected:"040622562ce0e4bc4f60620176866026"
+    (Calibration.config ~battery_kind:Battery.Ideal ~seed:7 ~mesh_size:4 ())
 
-let test_modes_ideal_boundary () =
-  (* near-infinite idle stretches with levels crossed mid-stretch: the
-     closed-form quiet-prefix must stop at exactly the right frame *)
-  check_modes ~name:"ideal-idle-boundary" (fun ~incremental_routing ~event_driven ->
-      let config =
-        Calibration.config ~battery_kind:Battery.Ideal ~seed:5 ~incremental_routing
-          ~event_driven ~mesh_size:4 ()
-      in
-      {
-        config with
-        Config.battery_capacity_pj = 300_000.;
-        computation_cycles = [| 400_000; 400_000; 400_000 |];
-      })
+let test_golden_ideal_boundary () =
+  (* long idle stretches with battery levels crossed mid-stretch *)
+  let config = Calibration.config ~battery_kind:Battery.Ideal ~seed:5 ~mesh_size:4 () in
+  check_golden ~name:"ideal-idle-boundary" ~expected:"de21335552536a76ace32d2e130c0f46"
+    {
+      config with
+      Config.battery_capacity_pj = 300_000.;
+      computation_cycles = [| 400_000; 400_000; 400_000 |];
+    }
 
-let test_modes_link_failures () =
-  (* scheduled wear-outs ride the event wheel: the fast-forward horizon
-     must stop short of every failure cycle *)
-  let topology = Topology.square_mesh ~size:5 () in
-  let schedule =
-    Etextile.Experiments.random_failure_schedule ~topology ~count:4 ~before_cycle:40_000
-      ~seed:93
-  in
-  check_modes ~name:"ear-5-failures" (fun ~incremental_routing ~event_driven ->
-      Calibration.config ~seed:2 ~link_failure_schedule:schedule ~incremental_routing
-        ~event_driven ~mesh_size:5 ())
+let failure_schedule () =
+  Etextile.Experiments.random_failure_schedule
+    ~topology:(Topology.square_mesh ~size:5 ())
+    ~count:4 ~before_cycle:40_000 ~seed:93
 
-(* - checkpoint compatibility in event-driven mode - *)
+let test_golden_link_failures () =
+  check_golden ~name:"ear-5-failures" ~expected:"9a1c17169a9202a2ab2a736fd722c6ba"
+    (Calibration.config ~seed:2 ~link_failure_schedule:(failure_schedule ()) ~mesh_size:5 ())
+
+(* - checkpoints: stop/resume is bit-identical - *)
 
 let finish engine =
   match Engine.run_until engine ~cycle:max_int with
   | Engine.Finished metrics -> metrics
   | Engine.Paused -> Alcotest.fail "run_until max_int paused"
 
-let check_event_driven_checkpoints ~name mk =
-  let config ~event_driven = mk ~incremental_routing:true ~event_driven in
-  let reference = Engine.simulate (config ~event_driven:true) in
+let pause ~name config ~cycle =
+  let engine = Engine.create config in
+  match Engine.run_until engine ~cycle with
+  | Engine.Finished _ -> Alcotest.fail (name ^ ": died before the pause")
+  | Engine.Paused -> engine
+
+let check_checkpoints ~name config =
+  let reference = Engine.simulate config in
   let lifetime = reference.Metrics.lifetime_cycles in
   List.iter
     (fun stop ->
-      let engine = Engine.create (config ~event_driven:true) in
-      match Engine.run_until engine ~cycle:stop with
-      | Engine.Finished _ -> Alcotest.fail (name ^ ": died before the pause")
-      | Engine.Paused ->
-        let payload = Engine.checkpoint engine in
-        (* stop/resume in event-driven mode is bit-identical... *)
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: resume event-driven @%d" name stop)
-          true
-          (finish (Engine.restore (config ~event_driven:true) payload) = reference);
-        (* ...and the same bytes restore under the stepped config: the
-           wheel is derived state, outside the fingerprint *)
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: resume stepped @%d" name stop)
-          true
-          (finish (Engine.restore (config ~event_driven:false) payload) = reference))
+      let payload = Engine.checkpoint (pause ~name config ~cycle:stop) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: resume @%d" name stop)
+        true
+        (finish (Engine.restore config payload) = reference))
     [ lifetime / 5; lifetime / 2 ];
-  (* a stepped checkpoint resumes event-driven, too *)
-  let engine = Engine.create (config ~event_driven:false) in
-  match Engine.run_until engine ~cycle:(lifetime / 3) with
-  | Engine.Finished _ -> Alcotest.fail (name ^ ": died before the pause")
+  (* a checkpoint of a restored engine resumes identically too *)
+  let restored =
+    Engine.restore config (Engine.checkpoint (pause ~name config ~cycle:(lifetime / 5)))
+  in
+  match Engine.run_until restored ~cycle:(lifetime / 3) with
+  | Engine.Finished _ -> Alcotest.fail (name ^ ": died before the second pause")
   | Engine.Paused ->
     Alcotest.(check bool)
-      (name ^ ": stepped checkpoint resumes event-driven")
+      (name ^ ": checkpoint of a restored engine")
       true
-      (finish (Engine.restore (config ~event_driven:true) (Engine.checkpoint engine))
-      = reference)
+      (finish (Engine.restore config (Engine.checkpoint restored)) = reference)
 
-let test_checkpoint_event_driven_thin_film () =
-  check_event_driven_checkpoints ~name:"thin-4"
-    (fun ~incremental_routing ~event_driven ->
-      Calibration.config ~seed:1 ~incremental_routing ~event_driven ~mesh_size:4 ())
+let test_checkpoint_thin_film () =
+  check_checkpoints ~name:"thin-4" (Calibration.config ~seed:1 ~mesh_size:4 ())
 
-let test_checkpoint_event_driven_ideal () =
-  check_event_driven_checkpoints ~name:"ideal-4"
-    (fun ~incremental_routing ~event_driven ->
-      Calibration.config ~battery_kind:Battery.Ideal ~seed:1 ~incremental_routing
-        ~event_driven ~mesh_size:4 ())
+let test_checkpoint_ideal () =
+  check_checkpoints ~name:"ideal-4"
+    (Calibration.config ~battery_kind:Battery.Ideal ~seed:1 ~mesh_size:4 ())
 
-let test_checkpoint_event_driven_pending_failures () =
-  (* restore must reschedule the not-yet-fired failures into the rebuilt
-     wheel, or the fast path would skip over them *)
-  let topology = Topology.square_mesh ~size:5 () in
-  let schedule =
-    Etextile.Experiments.random_failure_schedule ~topology ~count:4 ~before_cycle:40_000
-      ~seed:93
+let test_checkpoint_pending_failures () =
+  (* failures still scheduled at the pause must fire after the resume *)
+  let config =
+    Calibration.config ~seed:2 ~link_failure_schedule:(failure_schedule ()) ~mesh_size:5 ()
   in
-  let config ~event_driven =
-    Calibration.config ~seed:2 ~link_failure_schedule:schedule ~incremental_routing:true
-      ~event_driven ~mesh_size:5 ()
-  in
-  let reference = Engine.simulate (config ~event_driven:true) in
-  let engine = Engine.create (config ~event_driven:true) in
-  match Engine.run_until engine ~cycle:20_000 with
-  | Engine.Finished _ -> Alcotest.fail "died before the pause"
-  | Engine.Paused ->
-    Alcotest.(check bool) "resume with pending failures" true
-      (finish (Engine.restore (config ~event_driven:true) (Engine.checkpoint engine))
-      = reference)
+  let reference = Engine.simulate config in
+  let engine = pause ~name:"pending" config ~cycle:20_000 in
+  Alcotest.(check bool) "resume with pending failures" true
+    (finish (Engine.restore config (Engine.checkpoint engine)) = reference)
 
 let suite =
   [
@@ -454,23 +377,17 @@ let suite =
         ("SDR level-only cache", `Quick, test_sdr_level_only_returns_cached_table);
         QCheck_alcotest.to_alcotest prop_incremental_equals_full;
       ] );
-    ( "event-driven/wheel",
-      [
-        ("order and FIFO ties", `Quick, test_wheel_orders_and_pops);
-        ("drop_until and clear", `Quick, test_wheel_drop_until_and_clear);
-        QCheck_alcotest.to_alcotest prop_wheel_drains_sorted_stable;
-      ] );
     ( "event-driven/engine",
       [
-        ("policies x modes", `Quick, test_modes_policies);
-        ("ideal batteries", `Quick, test_modes_ideal);
-        ("ideal level boundary", `Quick, test_modes_ideal_boundary);
-        ("scheduled link failures", `Quick, test_modes_link_failures);
+        ("golden: policies", `Quick, test_golden_policies);
+        ("golden: ideal batteries", `Quick, test_golden_ideal);
+        ("golden: ideal boundary", `Quick, test_golden_ideal_boundary);
+        ("golden: link failures", `Quick, test_golden_link_failures);
       ] );
     ( "event-driven/checkpoint",
       [
-        ("thin-film stop/resume + cross-mode", `Quick, test_checkpoint_event_driven_thin_film);
-        ("ideal stop/resume + cross-mode", `Quick, test_checkpoint_event_driven_ideal);
-        ("pending failures reschedule", `Quick, test_checkpoint_event_driven_pending_failures);
+        ("thin-film stop/resume + cross-checkpoint chain", `Quick, test_checkpoint_thin_film);
+        ("ideal stop/resume + cross-checkpoint chain", `Quick, test_checkpoint_ideal);
+        ("pending failures reschedule", `Quick, test_checkpoint_pending_failures);
       ] );
   ]

@@ -238,7 +238,6 @@ let config ?(queue_depth = 8) ?(cache_capacity = 16) ?store_dir () =
     Server.default_config with
     Server.queue_depth;
     cache_capacity;
-    latency_window = 32;
     store_dir;
   }
 
@@ -519,7 +518,9 @@ let test_create_validation () =
       ("zero queue depth", { Server.default_config with queue_depth = 0 });
       ("negative cache", { Server.default_config with cache_capacity = -1 });
       ("zero domains", { Server.default_config with domains = 0 });
-      ("zero window", { Server.default_config with latency_window = 0 });
+      ("zero metrics pacing", { Server.default_config with metrics_every_s = 0. });
+      ("negative metrics pacing", { Server.default_config with metrics_every_s = -1. });
+      ("NaN metrics pacing", { Server.default_config with metrics_every_s = Float.nan });
     ]
 
 let suite =
