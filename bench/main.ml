@@ -82,11 +82,12 @@ let maximin_kernel =
       (Etx_routing.Maximin.compute ~workspace ~graph:topology.Etx_graph.Topology.graph
          ~mapping ~module_count:3 snapshot)
 
-(* the delta fast path: the workspace is primed with one full compute,
-   then every run toggles a single locked port and repairs through the
-   lock-only class (shortest-path matrices reused, only phase three
-   reruns) - exactly the single-edge change-set the controller feeds
-   [compute_incremental] in steady state *)
+(* the lock-only repair class: the workspace is primed with one full
+   compute, then every run toggles a single locked port and repairs
+   with the shortest-path matrices reused, so only phase three reruns.
+   The controller rarely takes this class (0 of the paper sweep's 9,112
+   recomputes): it is the deadlock-recovery path, and the kernel
+   isolates phase three *)
 let ear_incremental_kernel =
   let topology = Etx_graph.Topology.square_mesh ~size:8 () in
   let graph = topology.Etx_graph.Topology.graph in
@@ -101,6 +102,28 @@ let ear_incremental_kernel =
   fun () ->
     snapshot.Etx_routing.Router.locked_ports <-
       (match snapshot.Etx_routing.Router.locked_ports with [] -> [ (0, 1) ] | _ -> []);
+    ignore
+      (Etx_routing.Router.compute_incremental ~workspace ~graph ~mapping ~module_count:3
+         ~weight ~delta snapshot)
+
+(* the repair class the controller actually runs under EAR (92% of the
+   paper sweep's recomputes): one node's quantized level moves, its
+   in-edge column of W is patched, Floyd-Warshall and phase three
+   rerun *)
+let ear_level_patch_kernel =
+  let topology = Etx_graph.Topology.square_mesh ~size:8 () in
+  let graph = topology.Etx_graph.Topology.graph in
+  let mapping = Etx_routing.Mapping.checkerboard topology in
+  let snapshot = Etx_routing.Router.full_snapshot ~node_count:64 ~levels:8 in
+  let weight = Etx_routing.Weight.Exponential { q = 2. } in
+  let workspace = Etx_routing.Router.create_workspace () in
+  ignore
+    (Etx_routing.Router.compute ~workspace ~graph ~mapping ~module_count:3 ~weight
+       snapshot);
+  let delta = Etx_routing.Router.Delta.make ~dirty_levels:[ 27 ] () in
+  fun () ->
+    let levels = snapshot.Etx_routing.Router.battery_level in
+    levels.(27) <- (if levels.(27) = 7 then 6 else 7);
     ignore
       (Etx_routing.Router.compute_incremental ~workspace ~graph ~mapping ~module_count:3
          ~weight ~delta snapshot)
@@ -246,6 +269,7 @@ let entries =
     ("kernel/floyd-warshall-64", floyd_warshall_kernel);
     ("kernel/ear-recompute-64", ear_recompute_kernel);
     ("kernel/ear-incremental-64", ear_incremental_kernel);
+    ("kernel/ear-level-patch-64", ear_level_patch_kernel);
     ("kernel/aes-block", aes_kernel);
     ("kernel/battery-100-steps", battery_kernel);
     ("kernel/maximin-recompute-64", maximin_kernel);

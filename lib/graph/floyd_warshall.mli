@@ -10,16 +10,25 @@
     diagonal, the (possibly battery-reweighted) edge weight where an edge
     exists, [infinity] elsewhere. *)
 
-type result = {
+type result = private {
   distances : Etx_util.Matrix.t;
   successors : Etx_util.Matrix.Int.t;
       (** [-1] where no path exists (and on the diagonal). *)
+  columns : int array;
+      (** Scratch for {!run_into}: the finite columns of the current pivot
+          row.  Contents are meaningless between runs. *)
 }
+(** Built only by {!run} and {!create_result}. *)
 
 val run : Etx_util.Matrix.t -> result
 (** [run w] executes the Fig 5 recurrence.  Ties are resolved in favour
     of the incumbent path (the paper's [<=] branch in line 5), which
     makes the result deterministic.  Weights must be non-negative.
+    Each pivot [n] relaxes only the cells it can improve (rows other
+    than [n] that reach [n], columns other than [n] that [n] reaches);
+    with nonnegative weights the skipped cells could never pass the
+    strict comparison, so the result equals the full triple loop's bit
+    for bit.
     @raise Invalid_argument on a negative entry. *)
 
 val create_result : dim:int -> result

@@ -123,8 +123,8 @@ type workspace = {
      a single buffer would be overwritten under its feet *)
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
-  (* per-module candidate lists, cached keyed on the mapping's identity *)
-  mutable candidates : int list array;
+  (* per-module candidate arrays, cached keyed on the mapping's identity *)
+  mutable candidates : int array array;
   mutable candidates_mapping : Mapping.t option;
   mutable candidates_module_count : int;
   mutable basis : basis option;
@@ -233,74 +233,101 @@ let weight_matrix ~graph ~weight snapshot =
 let shortest_paths ~graph ~weight snapshot =
   Etx_graph.Floyd_warshall.run (weight_matrix ~graph ~weight snapshot)
 
-(* Phase three (Fig 6): for node [n] and module [i], choose among the
-   living duplicates the one at minimum weighted distance, skipping
-   candidates whose first hop is a locked port when possible. *)
-let choose_entry ~paths ~snapshot ~locked_set ~node ~candidates =
-  let open Etx_graph in
-  let consider ~respect_locks =
-    let best = ref None in
-    let try_candidate j =
-      if snapshot.alive.(j) then begin
-        let dist = Floyd_warshall.distance paths ~src:node ~dst:j in
-        if dist < infinity then begin
-          if j = node then begin
-            (* the node itself hosts the module: always optimal (dist 0) *)
-            match !best with
-            | Some (0., _) -> ()
-            | _ -> best := Some (0., Routing_table.Deliver_here)
-          end
-          else
-            match Floyd_warshall.successor paths ~src:node ~dst:j with
-            | None -> ()
-            | Some hop ->
-              if (not respect_locks) || not (Hashtbl.mem locked_set (node, hop)) then begin
-                let better =
-                  match !best with Some (d, _) -> dist < d | None -> true
-                in
-                if better then
-                  best :=
-                    Some (dist, Routing_table.Forward { next_hop = hop; destination = j })
-              end
-        end
-      end
-    in
-    List.iter try_candidate candidates;
-    !best
-  in
-  match consider ~respect_locks:true with
-  | Some (_, entry) -> entry
-  | None -> begin
-    (* every viable path starts on a locked port: deadlock recovery
-       prefers a detour, but a locked path beats declaring the module
-       unreachable (locks are transient congestion, not death) *)
-    match consider ~respect_locks:false with
-    | Some (_, entry) -> entry
-    | None -> Routing_table.Unreachable
-  end
-
-let candidate_lists ws ~mapping ~module_count =
+(* Candidate node arrays per module, cached on the workspace keyed by
+   the mapping's identity, so phase three walks them without chasing
+   list cells. *)
+let candidate_arrays ws ~mapping ~module_count =
   match ws.candidates_mapping with
   | Some cached when cached == mapping && ws.candidates_module_count = module_count ->
     ws.candidates
   | Some _ | None ->
     let candidates =
-      Array.init module_count (fun i -> Mapping.nodes_of_module mapping ~module_index:i)
+      Array.init module_count (fun i ->
+          Array.of_list (Mapping.nodes_of_module mapping ~module_index:i))
     in
     ws.candidates <- candidates;
     ws.candidates_mapping <- Some mapping;
     ws.candidates_module_count <- module_count;
     candidates
 
-(* Phase three over every living node (entries of dead nodes stay at the
-   table's cleared [Unreachable] default). *)
-let fill_table table ~paths ~snapshot ~locked_set ~candidates ~node_count ~module_count =
+(* Phase three (Fig 6) over every living node: for node [n] and module
+   [i], choose among the living duplicates the one at minimum weighted
+   distance, skipping candidates whose first hop is a locked port when
+   possible.  Expects [ws.locked_set] to hold the snapshot's locked
+   ports.  Entries of dead nodes, and of modules no living duplicate is
+   reachable for, stay at the cleared table's [Unreachable].
+
+   The loop reads the raw Floyd-Warshall arrays and keeps the incumbent
+   in hoisted mutable state (kind 0 = none yet, 1 = deliver here, 2 =
+   forward; its distance in a one-cell float array), so choosing an
+   entry allocates nothing but the [Forward] it stores.  Candidates are
+   visited in ascending id order and replace the incumbent only when
+   strictly nearer; the node's own copy (distance 0) is taken unless a
+   forward at distance 0 came first. *)
+let fill_table ws table ~paths ~mapping ~snapshot ~node_count ~module_count =
+  let candidates = candidate_arrays ws ~mapping ~module_count in
+  let locked_set = ws.locked_set in
+  let dist = Matrix.data paths.Etx_graph.Floyd_warshall.distances in
+  let succ = Matrix.Int.data paths.Etx_graph.Floyd_warshall.successors in
+  let alive = snapshot.alive in
+  let no_locks = Hashtbl.length locked_set = 0 in
+  let best_kind = ref 0 in
+  let best_hop = ref (-1) in
+  let best_dst = ref (-1) in
+  let best_d = [| 0. |] in
+  let consider ~node ~node_row ~pool ~respect_locks =
+    best_kind := 0;
+    for c = 0 to Array.length pool - 1 do
+      let j = Array.unsafe_get pool c in
+      if alive.(j) then begin
+        let d = Array.unsafe_get dist (node_row + j) in
+        if d < infinity then
+          if j = node then begin
+            if not (!best_kind <> 0 && best_d.(0) = 0.) then begin
+              best_kind := 1;
+              best_d.(0) <- 0.
+            end
+          end
+          else begin
+            let hop = Array.unsafe_get succ (node_row + j) in
+            (* the lock lookup hashes a tuple: ask it only of a
+               candidate that would win *)
+            if
+              hop >= 0
+              && (!best_kind = 0 || d < best_d.(0))
+              && ((not respect_locks) || no_locks
+                 || not (Hashtbl.mem locked_set (node, hop)))
+            then begin
+              best_kind := 2;
+              best_d.(0) <- d;
+              best_hop := hop;
+              best_dst := j
+            end
+          end
+      end
+    done
+  in
   for node = 0 to node_count - 1 do
-    if snapshot.alive.(node) then
-      for i = 0 to module_count - 1 do
-        Routing_table.set table ~node ~module_index:i
-          (choose_entry ~paths ~snapshot ~locked_set ~node ~candidates:candidates.(i))
+    if alive.(node) then begin
+      let node_row = node * node_count in
+      for module_index = 0 to module_count - 1 do
+        let pool = candidates.(module_index) in
+        consider ~node ~node_row ~pool ~respect_locks:true;
+        (* every viable path starts on a locked port: deadlock recovery
+           prefers a detour, but a locked path beats declaring the
+           module unreachable (locks are transient congestion, not
+           death).  Without locks the second pass would repeat the
+           first. *)
+        if !best_kind = 0 && not no_locks then
+          consider ~node ~node_row ~pool ~respect_locks:false;
+        match !best_kind with
+        | 1 -> Routing_table.set table ~node ~module_index Routing_table.Deliver_here
+        | 2 ->
+          Routing_table.set table ~node ~module_index
+            (Routing_table.Forward { next_hop = !best_hop; destination = !best_dst })
+        | _ -> ()
       done
+    end
   done
 
 let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
@@ -325,9 +352,7 @@ let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
     | Some _ -> scratch_table ws ~node_count ~module_count
     | None -> Routing_table.create ~node_count ~module_count
   in
-  let candidates = candidate_lists ws ~mapping ~module_count in
-  fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates ~node_count
-    ~module_count;
+  fill_table ws table ~paths ~mapping ~snapshot ~node_count ~module_count;
   ws.basis <-
     Some
       {
@@ -383,9 +408,7 @@ let compute_incremental ?workspace ~graph ~mapping ~module_count ~weight
               fill_set ws.locked_set snapshot.locked_ports;
               let paths = scratch_paths ws ~dim:node_count in
               let table = scratch_table ws ~node_count ~module_count in
-              let candidates = candidate_lists ws ~mapping ~module_count in
-              fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates
-                ~node_count ~module_count;
+              fill_table ws table ~paths ~mapping ~snapshot ~node_count ~module_count;
               basis.b_table <- table;
               table
             end
@@ -447,9 +470,7 @@ let compute_incremental ?workspace ~graph ~mapping ~module_count ~weight
               Etx_graph.Floyd_warshall.run_into (scratch_paths ws ~dim:node_count) w
             in
             let table = scratch_table ws ~node_count ~module_count in
-            let candidates = candidate_lists ws ~mapping ~module_count in
-            fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates
-              ~node_count ~module_count;
+            fill_table ws table ~paths ~mapping ~snapshot ~node_count ~module_count;
             ws.basis <-
               Some
                 {

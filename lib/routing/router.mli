@@ -70,11 +70,16 @@ module Delta : sig
 end
 
 type workspace
-(** Scratch buffers (weight matrix, Floyd-Warshall matrices, membership
-    sets for failed links and locked ports, and a rotating pair of
-    routing tables) reused across recomputes so the controller's
-    per-frame hot path stops allocating.  A workspace belongs to one
-    controller; it must not be shared across domains. *)
+(** Scratch buffers (weight matrix, Floyd-Warshall matrices and their
+    pivot-column scratch, membership sets for failed links and locked
+    ports, per-module candidate arrays, and a rotating pair of routing
+    tables) reused across recomputes so the controller's per-frame hot
+    path stops allocating.  Phase three reads the Floyd-Warshall arrays
+    directly and keeps its incumbent in unboxed scratch: a warm
+    recompute allocates the [Forward] entries it stores (3 words each)
+    and, for a level-only patch, the dirty columns' in-edge lists;
+    about 500 minor words for an 8x8 checkerboard table.  A workspace
+    belongs to one controller; it must not be shared across domains. *)
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and

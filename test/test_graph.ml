@@ -175,6 +175,13 @@ let test_fw_rejects_negative () =
   let w = Matrix.create ~dim:2 ~init:(-1.) in
   Alcotest.check_raises "negative"
     (Invalid_argument "Floyd_warshall.run: negative weight at (0, 0)") (fun () ->
+      ignore (Fw.run w));
+  (* the first negative entry in row-major order is the one reported *)
+  let w = Matrix.create ~dim:3 ~init:1. in
+  Matrix.set w 1 2 (-1.);
+  Matrix.set w 2 0 (-1.);
+  Alcotest.check_raises "row and column"
+    (Invalid_argument "Floyd_warshall.run: negative weight at (1, 2)") (fun () ->
       ignore (Fw.run w))
 
 let test_fw_mesh_manhattan () =
@@ -260,6 +267,78 @@ let test_fw_successor_paths_are_shortest () =
           if Float.abs (length -. expected) > 1e-6 then
             Alcotest.failf "path length %f <> distance %f" length expected
       done
+    done
+  done
+
+(* The paper's Fig 5 as written: the full triple loop through the
+   matrix accessors, with no pruning and no hoisting.  The tuned kernel
+   must match it bit for bit, successors included, so the inputs below
+   are full of ties (unit meshes, small-integer and zero weights) where
+   any change to the visiting order or the strict comparison shows. *)
+let fig5_oracle w =
+  let dim = Matrix.dim w in
+  let d = Matrix.copy w in
+  let s = Matrix.Int.create ~dim ~init:(-1) in
+  for i = 0 to dim - 1 do
+    for j = 0 to dim - 1 do
+      if i <> j && Matrix.get d i j < infinity then Matrix.Int.set s i j j
+    done
+  done;
+  for n = 0 to dim - 1 do
+    for i = 0 to dim - 1 do
+      for j = 0 to dim - 1 do
+        let via = Matrix.get d i n +. Matrix.get d n j in
+        if via < Matrix.get d i j then begin
+          Matrix.set d i j via;
+          Matrix.Int.set s i j (Matrix.Int.get s i n)
+        end
+      done
+    done
+  done;
+  (d, s)
+
+let check_against_oracle ~what w result =
+  let d, s = fig5_oracle w in
+  let dim = Matrix.dim w in
+  for src = 0 to dim - 1 do
+    for dst = 0 to dim - 1 do
+      let got = Fw.distance result ~src ~dst and want = Matrix.get d src dst in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        Alcotest.failf "%s: distance %d -> %d is %h, Fig 5 gives %h" what src dst got want;
+      let got = Matrix.Int.get result.Fw.successors src dst
+      and want = Matrix.Int.get s src dst in
+      if got <> want then
+        Alcotest.failf "%s: successor %d -> %d is %d, Fig 5 gives %d" what src dst got
+          want
+    done
+  done
+
+(* small nonnegative integers (zero included) or infinity off the
+   diagonal, a diagonal that is sometimes positive, and a few isolated
+   nodes whose rows and columns are all infinite *)
+let tie_heavy_matrix prng ~dim =
+  let pick bound = Etx_util.Prng.int prng ~bound in
+  let isolated = Array.init dim (fun _ -> pick 6 = 0) in
+  Matrix.init ~dim ~f:(fun i j ->
+      if i = j then if pick 4 = 0 then float_of_int (1 + pick 3) else 0.
+      else if isolated.(i) || isolated.(j) || pick 3 = 0 then infinity
+      else float_of_int (pick 4))
+
+let test_fw_matches_fig5_on_ties () =
+  List.iter
+    (fun size ->
+      let w = Digraph.adjacency_matrix (Topology.square_mesh ~size ()).graph in
+      check_against_oracle ~what:(Printf.sprintf "unit mesh %dx%d" size size) w (Fw.run w))
+    [ 1; 2; 3; 5; 8 ];
+  let prng = Etx_util.Prng.create ~seed:5 in
+  for dim = 1 to 12 do
+    (* one scratch result per dimension, reused across its graphs *)
+    let scratch = Fw.create_result ~dim in
+    for graph = 1 to 20 do
+      let w = tie_heavy_matrix prng ~dim in
+      let what = Printf.sprintf "dim %d graph %d" dim graph in
+      check_against_oracle ~what w (Fw.run w);
+      check_against_oracle ~what:(what ^ " (run_into)") w (Fw.run_into scratch w)
     done
   done
 
@@ -400,6 +479,8 @@ let suite =
         Alcotest.test_case "successor paths are shortest" `Quick
           test_fw_successor_paths_are_shortest;
         Alcotest.test_case "run_into matches run" `Quick test_fw_run_into_matches_run;
+        Alcotest.test_case "matches Fig 5 on tie-heavy graphs" `Quick
+          test_fw_matches_fig5_on_ties;
         Alcotest.test_case "run_into dim mismatch" `Quick
           test_fw_run_into_rejects_dim_mismatch;
         QCheck_alcotest.to_alcotest prop_mesh_distance_is_manhattan;

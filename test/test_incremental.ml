@@ -126,6 +126,39 @@ let test_repair_classes_ear () =
   step "death" (fun s -> s.Router.alive.(9) <- false);
   step "link failure" (fun s -> s.Router.failed_links <- [ (0, 4) ])
 
+(* The level-only class is what the controller runs almost every frame
+   under EAR (92% of the paper sweep's recomputes), so it must not
+   allocate beyond the [Forward] entries it stores: 3 words each, 128 of
+   the 192 entries on the 8x8 checkerboard.  The bound is 4 words per
+   table entry; the count is deterministic, and boxing one float per
+   distance or building one tuple per candidate in phase three would
+   cost tens of thousands of words. *)
+let test_level_patch_allocation () =
+  let graph, mapping = mesh_parts 8 in
+  let weight = Weight.Exponential { q = 2. } in
+  let workspace = Router.create_workspace () in
+  let snapshot = Router.full_snapshot ~node_count:64 ~levels:8 in
+  ignore (Router.compute ~workspace ~graph ~mapping ~module_count:3 ~weight snapshot);
+  let delta = Router.Delta.make ~dirty_levels:[ 27 ] () in
+  let recompute () =
+    snapshot.Router.battery_level.(27) <- 13 - snapshot.Router.battery_level.(27);
+    ignore
+      (Router.compute_incremental ~workspace ~graph ~mapping ~module_count:3 ~weight
+         ~delta snapshot)
+  in
+  recompute ();
+  recompute ();
+  let runs = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    recompute ()
+  done;
+  let per_run = (Gc.minor_words () -. before) /. float_of_int runs in
+  let bound = 4. *. float_of_int (64 * 3) in
+  if per_run > bound then
+    Alcotest.failf "level-only EAR recompute allocates %.0f minor words (bound %.0f)"
+      per_run bound
+
 let test_repair_classes_maximin () =
   let graph, mapping = mesh_parts 4 in
   let workspace = Maximin.create_workspace () in
@@ -375,6 +408,7 @@ let suite =
         ("EAR repair classes", `Quick, test_repair_classes_ear);
         ("maximin repair classes", `Quick, test_repair_classes_maximin);
         ("SDR level-only cache", `Quick, test_sdr_level_only_returns_cached_table);
+        ("level-only patch allocation", `Quick, test_level_patch_allocation);
         QCheck_alcotest.to_alcotest prop_incremental_equals_full;
       ] );
     ( "event-driven/engine",

@@ -523,6 +523,121 @@ let prop_router_tables_terminate =
       done;
       !ok)
 
+(* Phase three as Fig 6 reads, written with lists, options and the
+   Floyd-Warshall accessors rather than the router's flat loop: the
+   oracle [Router.compute] must match entry for entry.  Candidates in
+   ascending id order, strict [<], a lock-respecting pass and then a
+   lock-ignoring one, and the node's own copy not displacing a forward
+   already at distance 0. *)
+let choose_entry ~paths ~(snapshot : Router.snapshot) ~locked_set ~node ~candidates =
+  let module Fw = Etx_graph.Floyd_warshall in
+  let consider ~respect_locks =
+    let best = ref None in
+    let try_candidate j =
+      if snapshot.Router.alive.(j) then begin
+        let dist = Fw.distance paths ~src:node ~dst:j in
+        if dist < infinity then begin
+          if j = node then begin
+            match !best with
+            | Some (0., _) -> ()
+            | _ -> best := Some (0., Routing_table.Deliver_here)
+          end
+          else
+            match Fw.successor paths ~src:node ~dst:j with
+            | None -> ()
+            | Some hop ->
+              if (not respect_locks) || not (Hashtbl.mem locked_set (node, hop)) then begin
+                let better = match !best with Some (d, _) -> dist < d | None -> true in
+                if better then
+                  best :=
+                    Some (dist, Routing_table.Forward { next_hop = hop; destination = j })
+              end
+        end
+      end
+    in
+    List.iter try_candidate candidates;
+    !best
+  in
+  match consider ~respect_locks:true with
+  | Some (_, entry) -> entry
+  | None -> (
+    match consider ~respect_locks:false with
+    | Some (_, entry) -> entry
+    | None -> Routing_table.Unreachable)
+
+let oracle_table ~graph ~mapping ~weight (snapshot : Router.snapshot) =
+  let node_count = Digraph.node_count graph in
+  let paths = Router.shortest_paths ~graph ~weight snapshot in
+  let locked_set = Hashtbl.create 16 in
+  List.iter (fun pair -> Hashtbl.replace locked_set pair ()) snapshot.Router.locked_ports;
+  let table = Routing_table.create ~node_count ~module_count:3 in
+  for node = 0 to node_count - 1 do
+    if snapshot.Router.alive.(node) then
+      for module_index = 0 to 2 do
+        Routing_table.set table ~node ~module_index
+          (choose_entry ~paths ~snapshot ~locked_set ~node
+             ~candidates:(Mapping.nodes_of_module mapping ~module_index))
+      done
+  done;
+  table
+
+(* random levels, dead nodes, failed links and locked ports on meshes
+   whose unit lengths tie everywhere; some cases lock every out-port of
+   a few nodes, or of every node, so the lock-ignoring pass decides *)
+let prop_phase_three_matches_oracle =
+  QCheck.Test.make ~name:"router: phase three equals the Fig 6 oracle" ~count:150
+    QCheck.(pair (int_range 2 6) (int_range 0 100_000))
+    (fun (size, seed) ->
+      let t = Topology.square_mesh ~size () in
+      let graph = t.Topology.graph in
+      let n = size * size in
+      let prng = Etx_util.Prng.create ~seed in
+      let pick bound = Etx_util.Prng.int prng ~bound in
+      let mapping =
+        if pick 2 = 0 || n < 3 then Mapping.checkerboard t
+        else begin
+          let assignment = Array.init n (fun node -> if node < 3 then node else pick 3) in
+          Etx_util.Prng.shuffle prng assignment;
+          Mapping.custom ~assignment ~module_count:3
+        end
+      in
+      (* with 9 levels, slope -1/8 prices edges into empty nodes at
+         exactly 0: forwards at distance 0 then compete with the node's
+         own copy *)
+      let weight =
+        match pick 4 with
+        | 0 -> Weight.Shortest_distance
+        | 1 -> Weight.Exponential { q = 2. }
+        | 2 -> Weight.Linear_drain { slope = 1. }
+        | _ -> Weight.Linear_drain { slope = -0.125 }
+      in
+      let snapshot = Router.full_snapshot ~node_count:n ~levels:9 in
+      for node = 0 to n - 1 do
+        snapshot.Router.battery_level.(node) <- (if pick 2 = 0 then 0 else pick 9);
+        if pick 8 = 0 then snapshot.Router.alive.(node) <- false
+      done;
+      let edges =
+        Digraph.fold_edges graph ~init:[] ~f:(fun acc ~src ~dst ~length:_ ->
+            (src, dst) :: acc)
+      in
+      snapshot.Router.failed_links <- List.filter (fun _ -> pick 10 = 0) edges;
+      snapshot.Router.locked_ports <-
+        (match pick 4 with
+        | 0 -> []
+        | 1 -> edges
+        | 2 ->
+          let jammed = Array.init n (fun _ -> pick 3 = 0) in
+          List.filter (fun (src, _) -> jammed.(src)) edges
+        | _ -> List.filter (fun _ -> pick 4 = 0) edges);
+      let expected = oracle_table ~graph ~mapping ~weight snapshot in
+      let workspace = Router.create_workspace () in
+      let compute ?workspace () =
+        Router.compute ?workspace ~graph ~mapping ~module_count:3 ~weight snapshot
+      in
+      Routing_table.equal expected (compute ())
+      && Routing_table.equal expected (compute ~workspace ())
+      && Routing_table.equal expected (compute ~workspace ()))
+
 (* - Policy - *)
 
 let test_policy_constructors () =
@@ -602,6 +717,7 @@ let suite =
           test_router_workspace_matches_fresh_compute;
         Alcotest.test_case "snapshot validation" `Quick test_router_snapshot_validation;
         QCheck_alcotest.to_alcotest prop_router_tables_terminate;
+        QCheck_alcotest.to_alcotest prop_phase_three_matches_oracle;
       ] );
     ( "routing/policy",
       [
